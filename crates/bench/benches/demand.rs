@@ -21,9 +21,10 @@
 //! `MODREF_SEED=<n>` replays a different workload seed.
 
 use modref_check::{BenchGroup, BenchOptions};
-use modref_core::demand::{query_site_guarded, DemandMemo};
-use modref_core::{Analyzer, Guard};
+use modref_core::demand::{query_site_with, DemandMemo};
+use modref_core::{Analyzer, Guard, SolveCtx};
 use modref_ir::{CallSiteId, Program};
+use modref_par::ThreadPool;
 use modref_progen::{generate, GenConfig};
 
 /// A call site whose callee makes no further calls (its `GMOD` slice is
@@ -61,8 +62,9 @@ fn main() {
         ("fortran_10k".into(), GenConfig::fortran_like(10_000)),
     ];
 
-    let guard = Guard::unlimited();
+    let (pool, guard) = (ThreadPool::new(1), Guard::unlimited());
     let trace = modref_core::Trace::disabled();
+    let ctx = SolveCtx::new(&pool, &guard, &trace);
     for (param, cfg) in workloads {
         let program = generate(&cfg, seed);
         let site = leaf_site(&program);
@@ -74,7 +76,7 @@ fn main() {
             &param,
             || DemandMemo::new(&program),
             |mut memo| {
-                query_site_guarded(&program, &mut memo, site, &guard, &trace)
+                query_site_with(&ctx, &program, &mut memo, site)
                     .expect("unlimited queries cannot be interrupted")
             },
         );
@@ -85,7 +87,7 @@ fn main() {
         // Deterministic op counts, same units on both sides (the
         // exhaustive total sums every pipeline phase's counters).
         let mut memo = DemandMemo::new(&program);
-        let (_, ops) = query_site_guarded(&program, &mut memo, site, &guard, &trace)
+        let (_, ops) = query_site_with(&ctx, &program, &mut memo, site)
             .expect("unlimited queries cannot be interrupted");
         group.record("query_site_ops", &param, u128::from(ops.total()));
         let exhaustive_ops = Analyzer::new().analyze(&program).stats().total().total();

@@ -679,14 +679,15 @@ pub fn experiment_e8(scale: Scale) -> Table {
 }
 
 /// Incremental re-analysis (the programming-environment setting the
-/// paper's introduction cites): cost of one statement edit under delta
-/// propagation versus a from-scratch run.
+/// paper's introduction cites): cost of one additive local-effect edit in
+/// the `modref-incr` engine versus a from-scratch run.
 pub fn experiment_e9(scale: Scale) -> Table {
     let mut table = Table::new(
         "E9",
         "Incremental re-analysis vs from-scratch after one edit",
         "an additive edit's cost is proportional to the affected region, \
-         not the program (monotone delta propagation on equations 4-6)",
+         not the program (dirty-frontier recomputation with early cutoff \
+         on equations 4-6)",
         &[
             "procs",
             "full analyze",
@@ -716,17 +717,20 @@ pub fn experiment_e9(scale: Scale) -> Table {
                     .find(|&v| program.var(v).is_global() && program.var(v).rank() == 0)
             })
             .expect("a scalar global");
-        let stmt = modref_ir::Stmt::Assign {
-            target: modref_ir::Ref::scalar(g),
-            value: Expr::constant(1),
+        // Additive: the target keeps every local effect it had and gains
+        // a write of `g`.
+        let (flat_mod, flat_use) = modref_ir::flat_effects_of(&program, target);
+        let mut mods: Vec<modref_ir::VarId> = flat_mod.iter().map(modref_ir::VarId::new).collect();
+        mods.push(g);
+        let edit = modref_incr::Edit::SetLocalEffects {
+            proc_: target,
+            mods,
+            uses: flat_use.iter().map(modref_ir::VarId::new).collect(),
         };
 
-        let mut inc = modref_core::IncrementalAnalyzer::new(program.clone());
-        let (delta, t_inc) = timed(|| {
-            inc.add_statement(target, stmt.clone())
-                .expect("edit applies")
-        });
-        let edited = inc.program().clone();
+        let mut engine = modref_incr::IncrementalEngine::new(program);
+        let (delta, t_inc) = timed(|| engine.apply(&edit).expect("edit applies"));
+        let edited = engine.program().clone();
         let (_, t_full) = timed(|| Analyzer::new().analyze(&edited));
         table.push_row([
             edited.num_procs().to_string(),
@@ -741,7 +745,7 @@ pub fn experiment_e9(scale: Scale) -> Table {
     }
     table.set_verdict(
         "the incremental step touches only the procedures the edit can \
-         reach and beats from-scratch re-analysis by a growing factor",
+         reach and beats from-scratch re-analysis",
     );
     table
 }

@@ -9,21 +9,21 @@
 //! solver in the workspace uses:
 //!
 //! * [`BitSet`] — a fixed-universe dense set of `usize` elements.
-//! * [`BitMatrix`] — a rectangular array of rows over one shared universe,
+//! * [`SetMatrix`] — a rectangular array of rows over one shared universe,
 //!   with the split-row operations (`or_rows`, `or_rows_masked`) that
 //!   equation (4) of the paper needs (`GMOD[p] ∪= GMOD[q] ∖ LOCAL[q]`).
 //!
-//! Both types are plain data: no interior mutability, `Clone`/`Eq`/`Hash`,
-//! and deterministic iteration in ascending element order.
+//! Both types are plain data: no interior mutability, `Clone`/`Eq`, and
+//! deterministic iteration in ascending element order.
 //!
 //! Since the solvers charge their cost model in representation-independent
 //! whole-vector steps, the *representation* is swappable: the [`EffectSet`]
 //! trait abstracts the set operations every solver phase uses, with two
 //! implementations — dense [`BitSet`] and the sparse-friendly
 //! [`HybridSet`] (inline word + sorted spill, promoting to dense past a
-//! density threshold). [`SetMatrix`] is the representation-generic twin of
-//! [`BitMatrix`], and [`SetRepr`] is the user-facing knob
-//! (`--set-repr dense|hybrid|auto`). See `docs/SETREPR.md`.
+//! density threshold). [`SetMatrix`] is generic over it, and [`SetRepr`]
+//! is the user-facing knob (`--set-repr dense|hybrid|auto`). See
+//! `docs/SETREPR.md`.
 //!
 //! # Examples
 //!
@@ -41,14 +41,12 @@
 //! assert_eq!(a.iter().collect::<Vec<_>>(), vec![3, 96, 100]);
 //! ```
 
-mod bitmatrix;
 mod bitset;
 mod counter;
 mod effect;
 mod hybrid;
 mod matrix;
 
-pub use bitmatrix::BitMatrix;
 pub use bitset::{BitSet, Iter};
 pub use counter::OpCounter;
 pub use effect::{

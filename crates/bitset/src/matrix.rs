@@ -1,11 +1,9 @@
 //! The [`SetMatrix`]: many [`EffectSet`] rows over one shared universe.
 //!
-//! The representation-generic twin of [`BitMatrix`](crate::BitMatrix): one
-//! row per procedure, with the split-row primitives equation (4) of
+//! One row per procedure, with the split-row primitives equation (4) of
 //! Cooper–Kennedy 1988 needs (`GMOD[p] ∪= GMOD[q] ∖ LOCAL[q]`). With
-//! `S = BitSet` each row is a dense vector exactly like a `BitMatrix` row
-//! (minus the single shared allocation); with `S = HybridSet` sparse rows
-//! stay one word plus a small spill until they promote.
+//! `S = BitSet` each row is a dense bit vector; with `S = HybridSet`
+//! sparse rows stay one word plus a small spill until they promote.
 
 use std::fmt;
 
@@ -94,6 +92,23 @@ impl<S: EffectSet> SetMatrix<S> {
     /// same universe (e.g. `LOCAL[q]`); returns `true` if `dst` changed.
     ///
     /// `dst == src` applies `row[dst] ∪= row[dst] ∖ mask`, a no-op.
+    ///
+    /// # Examples
+    ///
+    /// Equation (4) of Cooper–Kennedy 1988, `GMOD[p] ∪= GMOD[q] ∖ LOCAL[q]`,
+    /// on one matrix of `GMOD` rows:
+    ///
+    /// ```
+    /// use modref_bitset::{BitSet, SetMatrix};
+    ///
+    /// let (p, q) = (0, 1);
+    /// let mut gmod: SetMatrix<BitSet> = SetMatrix::new(2, 8);
+    /// gmod.insert(q, 3); // a global q writes
+    /// gmod.insert(q, 5); // a local of q
+    /// let local_q = BitSet::from_iter_with_domain(8, [5]);
+    /// assert!(gmod.or_rows_minus(p, q, &local_q));
+    /// assert_eq!(gmod.row_iter(p).collect::<Vec<_>>(), vec![3]);
+    /// ```
     pub fn or_rows_minus(&mut self, dst: usize, src: usize, mask: &S) -> bool {
         if dst == src {
             self.check_row(dst);
@@ -202,6 +217,11 @@ mod tests {
     fn exercise<S: EffectSet>() {
         let mut m: SetMatrix<S> = SetMatrix::new(3, 100);
         assert!(m.insert(0, 1));
+        assert!(!m.insert(0, 1));
+        assert!(m.remove(0, 1));
+        assert!(!m.remove(0, 1));
+        assert!(!m.contains(0, 1));
+        assert!(m.insert(0, 1));
         assert!(m.insert(2, 69));
         assert!(m.or_rows(0, 2));
         assert!(m.contains(0, 69));
@@ -230,6 +250,88 @@ mod tests {
     #[test]
     fn hybrid_rows() {
         exercise::<HybridSet>();
+    }
+
+    #[test]
+    fn insert_contains_remove() {
+        let mut m: SetMatrix<BitSet> = SetMatrix::new(4, 130);
+        assert!(m.insert(2, 129));
+        assert!(!m.insert(2, 129));
+        assert!(m.contains(2, 129));
+        assert!(!m.contains(1, 129));
+        assert!(m.remove(2, 129));
+        assert!(!m.remove(2, 129));
+    }
+
+    #[test]
+    fn or_rows_self_is_noop() {
+        let mut m: SetMatrix<BitSet> = SetMatrix::new(2, 64);
+        m.insert(1, 5);
+        assert!(!m.or_rows(1, 1));
+        assert!(m.contains(1, 5));
+    }
+
+    #[test]
+    fn or_rows_minus_applies_mask() {
+        let mut m: SetMatrix<BitSet> = SetMatrix::new(2, 100);
+        m.insert(1, 10);
+        m.insert(1, 20);
+        let local = BitSet::from_iter_with_domain(100, [20]);
+        assert!(m.or_rows_minus(0, 1, &local));
+        assert!(m.contains(0, 10));
+        assert!(!m.contains(0, 20));
+    }
+
+    #[test]
+    fn or_rows_masked_applies_mask() {
+        let mut m: SetMatrix<BitSet> = SetMatrix::new(2, 100);
+        m.insert(1, 10);
+        m.insert(1, 20);
+        let mask = BitSet::from_iter_with_domain(100, [20]);
+        assert!(m.or_rows_masked(0, 1, &mask));
+        assert!(!m.contains(0, 10));
+        assert!(m.contains(0, 20));
+    }
+
+    #[test]
+    fn row_set_round_trip() {
+        let mut m: SetMatrix<BitSet> = SetMatrix::new(2, 90);
+        let s = BitSet::from_iter_with_domain(90, [0, 63, 64, 89]);
+        m.set_row(1, &s);
+        assert_eq!(m.row_to_set(1), s);
+        assert_eq!(m.row_len(1), 4);
+        assert_eq!(m.row_iter(1).collect::<Vec<_>>(), vec![0, 63, 64, 89]);
+        let mut m2 = m.clone();
+        m2.or_row_with_set(0, &s);
+        assert!(m2.rows_equal(0, 1));
+        assert!(!m.rows_equal(0, 1));
+    }
+
+    #[test]
+    fn or_rows_both_orders() {
+        // `dst` below and above `src` take the two halves of the row
+        // split.
+        let mut m: SetMatrix<BitSet> = SetMatrix::new(3, 70);
+        m.insert(0, 1);
+        m.insert(2, 69);
+        assert!(m.or_rows(0, 2));
+        assert!(m.contains(0, 69));
+        assert!(m.or_rows(2, 0));
+        assert!(m.contains(2, 1));
+        assert!(!m.or_rows(2, 0));
+    }
+
+    #[test]
+    fn zero_column_matrix() {
+        let mut m: SetMatrix<BitSet> = SetMatrix::new(3, 0);
+        assert!(!m.or_rows(0, 1));
+        assert_eq!(m.row_len(2), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn bad_row_panics() {
+        SetMatrix::<BitSet>::new(2, 8).insert(5, 0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Property-based tests: `BitSet`/`BitMatrix` against a `BTreeSet` model.
+//! Property-based tests: `BitSet`/`SetMatrix<BitSet>` against a `BTreeSet` model.
 
 use std::collections::BTreeSet;
 
-use modref_bitset::{BitMatrix, BitSet};
+use modref_bitset::{BitSet, SetMatrix};
 use modref_check::prelude::*;
 
 const DOMAIN: usize = 300;
@@ -66,7 +66,7 @@ property! {
     }
 
     fn matrix_or_rows_matches_sets(a in elems(), b in elems(), mask in elems()) {
-        let mut m = BitMatrix::new(2, DOMAIN);
+        let mut m: SetMatrix<BitSet> = SetMatrix::new(2, DOMAIN);
         m.set_row(0, &build(&a));
         m.set_row(1, &build(&b));
         let mask_set = build(&mask);

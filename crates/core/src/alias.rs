@@ -20,7 +20,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use modref_bitset::{BitSet, EffectSet};
-use modref_guard::{Guard, Interrupt};
+use modref_guard::{Guard, Interrupt, SolveCtx};
 use modref_ir::{Actual, ProcId, Program, VarId};
 
 /// The alias pairs of every procedure.
@@ -66,24 +66,24 @@ impl<S: EffectSet> AliasPairsIn<S> {
     /// bounded by `|V|²` per procedure (in practice tiny — "programs with
     /// complex aliasing patterns are difficult to write", §5).
     pub fn compute(program: &Program) -> Self {
-        Self::compute_guarded(program, &Guard::unlimited())
-            .expect("an unlimited guard cannot interrupt the solver")
+        SolveCtx::unlimited(|ctx| Self::compute_with(ctx, program))
     }
 
-    /// [`AliasPairs::compute`] under a cooperative [`Guard`]: the worklist
-    /// loop polls the guard every few dozen popped sites and charges one
-    /// boolean step per site processed.
+    /// [`AliasPairs::compute`] under a [`SolveCtx`]: checkpoint `"alias"`,
+    /// then a worklist loop that polls the guard every few dozen popped
+    /// sites and charges one boolean step per site processed. The
+    /// worklist is sequential and records no spans of its own.
     ///
     /// # Errors
     ///
     /// Returns the guard's [`Interrupt`] if a deadline, budget, or
     /// cancellation trips before the fixpoint; the partial relation is
     /// discarded.
-    pub fn compute_guarded(program: &Program, guard: &Guard) -> Result<Self, Interrupt> {
-        guard.checkpoint("alias")?;
+    pub fn compute_with(ctx: &SolveCtx<'_>, program: &Program) -> Result<Self, Interrupt> {
+        ctx.guard.checkpoint("alias")?;
         let mut result = Self::empty_impl(program);
         let all = vec![true; program.num_procs()];
-        result.solve_closure_guarded(program, &all, guard)?;
+        result.solve_closure_guarded(program, &all, ctx.guard)?;
         Ok(result)
     }
 

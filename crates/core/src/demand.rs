@@ -55,11 +55,12 @@ use std::sync::Arc;
 use modref_binding::BindingGraph;
 use modref_bitset::{BitSet, EffectSet, OpCounter, SetMatrix};
 use modref_graph::DiGraph;
-use modref_guard::{Guard, Interrupt};
-use modref_ir::{flat_effects_of, Actual, CallGraph, CallSiteId, ProcId, Program, VarId};
+use modref_guard::{Guard, Interrupt, SolveCtx};
+use modref_ir::{flat_effects_of, CallGraph, CallSiteId, ProcId, Program, VarId};
 
 use crate::alias::AliasPairsIn;
 use crate::dmod::project_site;
+use crate::imod_plus::fold_site;
 
 /// Which of the two analogous problems (§1) a demand walks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,7 +122,7 @@ pub struct DemandMemoIn<S: EffectSet> {
     /// Per-side, per-problem, per-procedure `GMOD` problem rows. With
     /// `dp ≤ 1` only problem 0 (the full multi-graph) exists; nested
     /// programs use problems `1..=dp` (edges into level ≥ i), matching
-    /// `solve_gmod_levels_traced` exactly.
+    /// `solve_gmod_levels_with` exactly.
     rows: [Vec<Vec<Option<S>>>; 2],
     /// Per-side, per-procedure assembled `GMOD`/`GUSE`.
     total: [Vec<Option<S>>; 2],
@@ -231,13 +232,13 @@ pub fn conservative_proc_answer(program: &Program, p: ProcId) -> ProcAnswer {
 /// # Panics
 ///
 /// Panics if `memo` was built from a different program snapshot.
-pub fn query_site_guarded<S: EffectSet>(
+pub fn query_site_with<S: EffectSet>(
+    ctx: &SolveCtx<'_>,
     program: &Program,
     memo: &mut DemandMemoIn<S>,
     s: CallSiteId,
-    guard: &Guard,
-    trace: &modref_trace::Trace,
 ) -> Result<(SiteAnswer, OpCounter), Interrupt> {
+    let SolveCtx { guard, trace, .. } = *ctx;
     assert_eq!(memo.flat.len(), program.num_procs(), "stale demand memo");
     guard.checkpoint("query")?;
     let mut span = trace.span("query.site");
@@ -283,19 +284,19 @@ pub fn query_site_guarded<S: EffectSet>(
 ///
 /// # Errors
 ///
-/// As for [`query_site_guarded`]; degrade to
+/// As for [`query_site_with`]; degrade to
 /// [`conservative_proc_answer`].
 ///
 /// # Panics
 ///
 /// Panics if `memo` was built from a different program snapshot.
-pub fn query_proc_guarded<S: EffectSet>(
+pub fn query_proc_with<S: EffectSet>(
+    ctx: &SolveCtx<'_>,
     program: &Program,
     memo: &mut DemandMemoIn<S>,
     p: ProcId,
-    guard: &Guard,
-    trace: &modref_trace::Trace,
 ) -> Result<(ProcAnswer, OpCounter), Interrupt> {
+    let SolveCtx { guard, trace, .. } = *ctx;
     assert_eq!(memo.flat.len(), program.num_procs(), "stale demand memo");
     guard.checkpoint("query")?;
     let mut span = trace.span("query.proc");
@@ -537,19 +538,11 @@ impl<'a, S: EffectSet> Demand<'a, S> {
             .clone()
             .expect("just ensured");
         for &(_, e) in cg.graph().successors_slice(u) {
-            let s = CallSiteId::new(e);
-            let site = program.site(s);
-            let formals = program.proc_(site.callee()).formals();
             self.ops.edges_visited += 1;
-            for (pos, arg) in site.args().iter().enumerate() {
-                self.ops.bool_steps += 1;
-                if !self.rmod_bit(side, formals[pos])? {
-                    continue;
-                }
-                if let Actual::Ref(r) = arg {
-                    set.insert(r.var.index());
-                }
-            }
+            let steps = fold_site(program, CallSiteId::new(e), &mut set, |f| {
+                self.rmod_bit(side, f)
+            })?;
+            self.ops.bool_steps += steps;
         }
         self.settle()?;
         self.memo.plus[side.idx()][u] = Some(set);
@@ -559,7 +552,7 @@ impl<'a, S: EffectSet> Demand<'a, S> {
     /// Does problem `prob` keep the edge into callee `q`? Problem 0 is the
     /// whole multi-graph (`dp ≤ 1`); nested problem `i ≥ 1` keeps edges
     /// into procedures at level ≥ i — the same filter
-    /// `solve_gmod_levels_traced` applies.
+    /// `solve_gmod_levels_with` applies.
     fn edge_kept(&self, prob: usize, q: usize) -> bool {
         prob == 0 || self.program.proc_(ProcId::new(q)).level() as usize >= prob
     }
@@ -768,7 +761,7 @@ impl<'a, S: EffectSet> Demand<'a, S> {
 
     /// The assembled `GMOD(p)`/`GUSE(p)`: the single problem row for
     /// two-level programs, or `IMOD⁺(p) ∪ ⋃_{i=1..dp} rowᵢ(p)` for nested
-    /// ones — the same union `solve_gmod_levels_traced` forms.
+    /// ones — the same union `solve_gmod_levels_with` forms.
     fn ensure_total(&mut self, side: Side, p: usize) -> Result<(), Interrupt> {
         if self.memo.total[side.idx()][p].is_some() {
             return Ok(());
@@ -850,19 +843,15 @@ mod tests {
     fn assert_demand_matches(program: &Program) {
         let summary = Analyzer::new().analyze(program);
         let mut memo = DemandMemo::new(program);
-        let guard = Guard::unlimited();
-        let trace = modref_trace::Trace::disabled();
         for s in program.sites() {
-            let (ans, _) = query_site_guarded(program, &mut memo, s, &guard, &trace)
-                .expect("unlimited guard");
+            let (ans, _) = SolveCtx::unlimited(|ctx| query_site_with(ctx, program, &mut memo, s));
             assert_eq!(&ans.mods, summary.mod_site(s), "MOD({s}) differs");
             assert_eq!(&ans.uses, summary.use_site(s), "USE({s}) differs");
             assert_eq!(&ans.dmod, summary.dmod_site(s), "DMOD({s}) differs");
             assert_eq!(&ans.duse, summary.duse_site(s), "DUSE({s}) differs");
         }
         for p in program.procs() {
-            let (ans, _) = query_proc_guarded(program, &mut memo, p, &guard, &trace)
-                .expect("unlimited guard");
+            let (ans, _) = SolveCtx::unlimited(|ctx| query_proc_with(ctx, program, &mut memo, p));
             assert_eq!(&ans.gmod, summary.gmod(p), "GMOD({p}) differs");
             assert_eq!(&ans.guse, summary.guse(p), "GUSE({p}) differs");
         }
@@ -934,27 +923,17 @@ mod tests {
         b.call(main, p, &[]);
         let program = b.finish().expect("valid");
 
-        let guard = Guard::unlimited();
-        let trace = modref_trace::Trace::disabled();
         let sites: Vec<_> = program.sites().collect();
         let mut fwd = DemandMemo::new(&program);
         let forward: Vec<_> = sites
             .iter()
-            .map(|&s| {
-                query_site_guarded(&program, &mut fwd, s, &guard, &trace)
-                    .expect("unlimited")
-                    .0
-            })
+            .map(|&s| SolveCtx::unlimited(|ctx| query_site_with(ctx, &program, &mut fwd, s)).0)
             .collect();
         let mut rev = DemandMemo::new(&program);
         let backward: Vec<_> = sites
             .iter()
             .rev()
-            .map(|&s| {
-                query_site_guarded(&program, &mut rev, s, &guard, &trace)
-                    .expect("unlimited")
-                    .0
-            })
+            .map(|&s| SolveCtx::unlimited(|ctx| query_site_with(ctx, &program, &mut rev, s)).0)
             .collect();
         for (i, ans) in forward.iter().enumerate() {
             assert_eq!(ans, &backward[sites.len() - 1 - i]);
@@ -996,18 +975,17 @@ mod tests {
         let s = b.call(main, q, &[g]);
         let program = b.finish().expect("valid");
         let mut memo = DemandMemo::new(&program);
+        let pool = modref_par::ThreadPool::new(1);
         let trace = modref_trace::Trace::disabled();
 
         let tight = Guard::new(&modref_guard::Budget::unlimited().with_bitvec_steps(0));
-        let err = query_site_guarded(&program, &mut memo, s, &tight, &trace)
-            .expect_err("zero budget must trip");
+        let ctx = SolveCtx::new(&pool, &tight, &trace);
+        let err = query_site_with(&ctx, &program, &mut memo, s).expect_err("zero budget must trip");
         assert_ne!(err, Interrupt::Cancelled);
 
         // The same memo answers exactly once the pressure is gone.
         let summary = Analyzer::new().analyze(&program);
-        let (ans, _) =
-            query_site_guarded(&program, &mut memo, s, &Guard::unlimited(), &trace)
-                .expect("unlimited");
+        let (ans, _) = SolveCtx::unlimited(|ctx| query_site_with(ctx, &program, &mut memo, s));
         assert_eq!(&ans.mods, summary.mod_site(s));
     }
 }

@@ -8,7 +8,7 @@
 //! `DMOD(s) = LMOD(s) ∪ ⋃_{e ∈ s} b_e(GMOD(callee(e)))`.
 
 use modref_bitset::{BitSet, EffectSet, OpCounter};
-use modref_guard::{Guard, Interrupt};
+use modref_guard::{Interrupt, SolveCtx};
 use modref_ir::{Actual, CallSiteId, Program, Stmt};
 
 /// Per-call-site direct side-effect sets (`DMOD` or `DUSE`).
@@ -50,24 +50,14 @@ impl<S: EffectSet> DmodSolutionIn<S> {
 ///
 /// Panics if `gmod.len() != program.num_procs()`.
 pub fn compute_dmod<S: EffectSet>(program: &Program, gmod: &[S]) -> DmodSolutionIn<S> {
-    compute_dmod_pooled(program, gmod, &modref_par::ThreadPool::new(1))
+    SolveCtx::unlimited(|ctx| compute_dmod_with(ctx, program, gmod))
 }
 
-/// [`compute_dmod`] with the per-site projections spread over `pool`.
-/// Each site's `b_e(GMOD(callee))` is independent of every other site's,
-/// so the fan-out is exact; a sequential pool computes inline.
-pub fn compute_dmod_pooled<S: EffectSet>(
-    program: &Program,
-    gmod: &[S],
-    pool: &modref_par::ThreadPool,
-) -> DmodSolutionIn<S> {
-    compute_dmod_guarded(program, gmod, pool, &Guard::unlimited())
-        .expect("an unlimited guard cannot interrupt the solver")
-}
-
-/// [`compute_dmod_pooled`] under a cooperative [`Guard`]: the per-site
-/// fan-out polls the guard between sites (and between chunks on the pool),
-/// charging one bit-vector step per projected site.
+/// [`compute_dmod`] under a [`SolveCtx`]: checkpoint `"dmod"`, then the
+/// per-site projections through the shared per-site fan-out — fanned out over the pool
+/// (each site's `b_e(GMOD(callee))` is independent of every other
+/// site's, so the fan-out is exact) and charged one bit-vector step per
+/// projected site.
 ///
 /// # Errors
 ///
@@ -77,54 +67,69 @@ pub fn compute_dmod_pooled<S: EffectSet>(
 /// # Panics
 ///
 /// Panics if `gmod.len() != program.num_procs()`.
-pub fn compute_dmod_guarded<S: EffectSet>(
+pub fn compute_dmod_with<S: EffectSet>(
+    ctx: &SolveCtx<'_>,
     program: &Program,
     gmod: &[S],
-    pool: &modref_par::ThreadPool,
-    guard: &Guard,
 ) -> Result<DmodSolutionIn<S>, Interrupt> {
     assert_eq!(gmod.len(), program.num_procs(), "one GMOD per procedure");
-    guard.checkpoint("dmod")?;
+    ctx.guard.checkpoint("dmod")?;
     let mut stats = OpCounter::new();
     stats.edges_visited += program.num_sites() as u64;
     stats.bitvec_steps += program.num_sites() as u64;
+    let per_site = map_sites(ctx, program, |s| {
+        let callee = program.site(s).callee();
+        project_site(program, s, &gmod[callee.index()])
+    })?;
+    Ok(DmodSolutionIn { per_site, stats })
+}
 
+/// Maps every call site through `f`, in site order: inline on a
+/// sequential pool, fanned out over `ctx.pool` otherwise (the per-site
+/// phases read only shared inputs, so the result is identical at any
+/// thread count). Charges one bit-vector step per site in blocks of 64,
+/// polling the guard at each block; workers leave the fan-out between
+/// chunks once the guard trips.
+pub(crate) fn map_sites<T: Send>(
+    ctx: &SolveCtx<'_>,
+    program: &Program,
+    f: impl Fn(CallSiteId) -> T + Sync,
+) -> Result<Vec<T>, Interrupt> {
+    let SolveCtx { pool, guard, .. } = *ctx;
+    let n = program.num_sites();
+    let charge_block = |i: usize| guard.charge(64.min(n - i) as u64, 0);
     let per_site = if pool.is_sequential() {
-        let mut v = Vec::with_capacity(program.num_sites());
+        let mut v = Vec::with_capacity(n);
         for s in program.sites() {
             if s.index() % 64 == 0 {
-                guard.charge(64.min(program.num_sites() - s.index()) as u64, 0);
+                charge_block(s.index());
                 guard.check()?;
             }
-            let callee = program.site(s).callee();
-            v.push(project_site(program, s, &gmod[callee.index()]));
+            v.push(f(s));
         }
         v
     } else {
-        let slots = pool.par_map_while(program.num_sites(), || !guard.should_stop(), |i| {
-            if i % 64 == 0 {
-                guard.charge(64.min(program.num_sites() - i) as u64, 0);
-                let _ = guard.check();
-            }
-            let s = CallSiteId::new(i);
-            let callee = program.site(s).callee();
-            project_site(program, s, &gmod[callee.index()])
-        });
-        let mut v = Vec::with_capacity(slots.len());
-        for slot in slots {
-            match slot {
-                Some(set) => v.push(set),
-                None => {
-                    guard.check()?;
-                    return Err(guard.interrupt().unwrap_or(Interrupt::Halted));
+        let slots = pool.par_map_while(
+            n,
+            || !guard.should_stop(),
+            |i| {
+                if i % 64 == 0 {
+                    charge_block(i);
+                    let _ = guard.check();
                 }
+                f(CallSiteId::new(i))
+            },
+        );
+        match slots.into_iter().collect::<Option<Vec<T>>>() {
+            Some(v) => v,
+            None => {
+                guard.check()?;
+                return Err(guard.interrupt().unwrap_or(Interrupt::Halted));
             }
         }
-        v
     };
     guard.check()?;
-
-    Ok(DmodSolutionIn { per_site, stats })
+    Ok(per_site)
 }
 
 /// `b_e(callee_set)` for one call site: survivors map to themselves,

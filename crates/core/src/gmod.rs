@@ -22,7 +22,7 @@
 
 use modref_bitset::{BitSet, EffectSet, OpCounter, SetMatrix};
 use modref_graph::DiGraph;
-use modref_guard::{Guard, Interrupt};
+use modref_guard::{Guard, Interrupt, SolveCtx};
 use modref_ir::{ProcId, Program};
 
 use crate::meter::Meter;
@@ -121,20 +121,26 @@ pub fn solve_gmod_one_level<S: EffectSet>(
     seeds: &[S],
     locals: &[S],
 ) -> GmodSolutionIn<S> {
-    solve_gmod_one_level_guarded(program, call_graph, seeds, locals, &Guard::unlimited())
-        .expect("an unlimited guard cannot interrupt the solver")
+    SolveCtx::unlimited(|ctx| solve_gmod_one_level_with(ctx, program, call_graph, seeds, locals))
 }
 
-/// [`solve_gmod_one_level`] under a cooperative [`Guard`]: polls at the
-/// `"gmod"` entry checkpoint and at traversal strides, charging bit-vector
-/// steps against the budget.
-pub fn solve_gmod_one_level_guarded<S: EffectSet>(
+/// [`solve_gmod_one_level`] under a [`SolveCtx`]: polls the guard at the
+/// `"gmod"` entry checkpoint and at traversal strides, charging
+/// bit-vector steps against the budget. The depth-first pass is
+/// inherently sequential and records no spans of its own.
+///
+/// # Errors
+///
+/// Returns the guard's [`Interrupt`] on a trip; the partial result is
+/// discarded.
+pub fn solve_gmod_one_level_with<S: EffectSet>(
+    ctx: &SolveCtx<'_>,
     program: &Program,
     call_graph: &DiGraph,
     seeds: &[S],
     locals: &[S],
-    guard: &Guard,
 ) -> Result<GmodSolutionIn<S>, Interrupt> {
+    let guard = ctx.guard;
     assert_eq!(seeds.len(), program.num_procs(), "one seed per procedure");
     assert_eq!(locals.len(), program.num_procs(), "one LOCAL per procedure");
     guard.checkpoint("gmod")?;

@@ -34,9 +34,10 @@
 
 use modref_bitset::{EffectSet, OpCounter, SetMatrix};
 use modref_graph::{tarjan, Condensation, DiGraph};
-use modref_guard::{Guard, Interrupt};
+use modref_guard::{Guard, Interrupt, SolveCtx};
 use modref_ir::Program;
 use modref_par::ThreadPool;
+use modref_trace::Trace;
 
 use crate::gmod::GmodSolutionIn;
 
@@ -57,53 +58,40 @@ pub fn solve_gmod_levels<S: EffectSet>(
     locals: &[S],
     pool: &ThreadPool,
 ) -> GmodSolutionIn<S> {
-    solve_gmod_levels_guarded(program, call_graph, seeds, locals, pool, &Guard::unlimited())
+    let (guard, trace) = (Guard::unlimited(), Trace::disabled());
+    let ctx = SolveCtx::new(pool, &guard, &trace);
+    solve_gmod_levels_with(&ctx, program, call_graph, seeds, locals)
         .expect("an unlimited guard cannot interrupt the solver")
 }
 
-/// [`solve_gmod_levels`] under a cooperative [`Guard`]: checkpoint
-/// `"gmod"` at entry, a budget charge plus poll between condensation
-/// levels, and pool workers that drop out between chunks once the guard
-/// trips — cancellation drains the level fan-out promptly.
-pub fn solve_gmod_levels_guarded<S: EffectSet>(
-    program: &Program,
-    call_graph: &DiGraph,
-    seeds: &[S],
-    locals: &[S],
-    pool: &ThreadPool,
-    guard: &Guard,
-) -> Result<GmodSolutionIn<S>, Interrupt> {
-    solve_gmod_levels_traced(
-        program,
-        call_graph,
-        seeds,
-        locals,
-        pool,
-        guard,
-        &modref_trace::Trace::disabled(),
-    )
-}
-
-/// [`solve_gmod_levels_guarded`] recording one `gmod.level` span per
-/// condensation level into `trace` (annotated with the level index, its
-/// component count, and its bit-vector steps), plus a `gmod.problem` span
-/// per multi-level problem on nested programs. This is the view that
-/// explains a flat parallel-scaling curve: level width, not thread count,
-/// bounds the useful concurrency. Identical output at any thread count;
-/// tracing only observes.
+/// [`solve_gmod_levels`] under a [`SolveCtx`].
+///
+/// * **Pool**: each condensation level's components are solved
+///   concurrently.
+/// * **Guard**: checkpoint `"gmod"` at entry, a budget charge plus poll
+///   between condensation levels, and pool workers that drop out between
+///   chunks once the guard trips — cancellation drains the level fan-out
+///   promptly.
+/// * **Trace**: one `gmod.level` span per condensation level (annotated
+///   with the level index, its component count, and its bit-vector
+///   steps), plus a `gmod.problem` span per multi-level problem on nested
+///   programs. This is the view that explains a flat parallel-scaling
+///   curve: level width, not thread count, bounds the useful concurrency.
+///
+/// Identical output at any thread count; tracing only observes.
 ///
 /// # Errors
 ///
-/// As for [`solve_gmod_levels_guarded`].
-pub fn solve_gmod_levels_traced<S: EffectSet>(
+/// Returns the guard's [`Interrupt`] on a trip; the partial result is
+/// discarded.
+pub fn solve_gmod_levels_with<S: EffectSet>(
+    ctx: &SolveCtx<'_>,
     program: &Program,
     call_graph: &DiGraph,
     seeds: &[S],
     locals: &[S],
-    pool: &ThreadPool,
-    guard: &Guard,
-    trace: &modref_trace::Trace,
 ) -> Result<GmodSolutionIn<S>, Interrupt> {
+    let SolveCtx { guard, trace, .. } = *ctx;
     assert_eq!(seeds.len(), program.num_procs(), "one seed per procedure");
     assert_eq!(locals.len(), program.num_procs(), "one LOCAL per procedure");
     guard.checkpoint("gmod")?;
@@ -117,14 +105,12 @@ pub fn solve_gmod_levels_traced<S: EffectSet>(
         // Two-level scoping: equation (4) over the whole multi-graph is
         // the single problem, and its LFP is what Figure 2 computes.
         let sets = solve_problem(
+            ctx,
             call_graph,
             program.num_vars(),
             seeds,
             locals,
-            pool,
             &mut stats,
-            guard,
-            trace,
         )?;
         return Ok(GmodSolutionIn::new(sets, stats));
     }
@@ -149,14 +135,12 @@ pub fn solve_gmod_levels_traced<S: EffectSet>(
         }
         problem_span.arg("edges", restricted.num_edges() as u64);
         let sets = solve_problem(
+            ctx,
             &restricted,
             program.num_vars(),
             seeds,
             locals,
-            pool,
             &mut stats,
-            guard,
-            trace,
         )?;
         drop(problem_span);
         let mut union_steps = 0u64;
@@ -173,17 +157,15 @@ pub fn solve_gmod_levels_traced<S: EffectSet>(
 
 /// The LFP of `G(u) = seeds(u) ∪ ⋃_{(u,q)∈graph} (G(q) ∖ locals(q))`,
 /// computed level-parallel over the condensation of `graph`.
-#[allow(clippy::too_many_arguments)]
 fn solve_problem<S: EffectSet>(
+    ctx: &SolveCtx<'_>,
     graph: &DiGraph,
     num_vars: usize,
     seeds: &[S],
     locals: &[S],
-    pool: &ThreadPool,
     stats: &mut OpCounter,
-    guard: &Guard,
-    trace: &modref_trace::Trace,
 ) -> Result<Vec<S>, Interrupt> {
+    let SolveCtx { pool, guard, trace } = *ctx;
     let n = graph.num_nodes();
     let sccs = tarjan(graph);
     let cond = Condensation::build(graph, &sccs);

@@ -25,7 +25,7 @@
 
 use modref_bitset::{EffectSet, OpCounter, SetMatrix};
 use modref_graph::DiGraph;
-use modref_guard::{Guard, Interrupt};
+use modref_guard::{Interrupt, SolveCtx};
 use modref_ir::Program;
 
 use crate::gmod::{findgmod, ClosureFilter, GmodSolutionIn};
@@ -60,19 +60,25 @@ pub fn solve_gmod_multi_naive<S: EffectSet>(
     seeds: &[S],
     locals: &[S],
 ) -> GmodSolutionIn<S> {
-    solve_gmod_multi_naive_guarded(program, call_graph, seeds, locals, &Guard::unlimited())
-        .expect("an unlimited guard cannot interrupt the solver")
+    SolveCtx::unlimited(|ctx| solve_gmod_multi_naive_with(ctx, program, call_graph, seeds, locals))
 }
 
-/// [`solve_gmod_multi_naive`] under a cooperative [`Guard`] (checkpoint
-/// `"gmod"`, strides inside each per-level Figure 2 run).
-pub fn solve_gmod_multi_naive_guarded<S: EffectSet>(
+/// [`solve_gmod_multi_naive`] under a [`SolveCtx`] (checkpoint `"gmod"`,
+/// guard strides inside each per-level Figure 2 run; sequential and
+/// untraced).
+///
+/// # Errors
+///
+/// Returns the guard's [`Interrupt`] on a trip; the partial result is
+/// discarded.
+pub fn solve_gmod_multi_naive_with<S: EffectSet>(
+    ctx: &SolveCtx<'_>,
     program: &Program,
     call_graph: &DiGraph,
     seeds: &[S],
     locals: &[S],
-    guard: &Guard,
 ) -> Result<GmodSolutionIn<S>, Interrupt> {
+    let guard = ctx.guard;
     assert_eq!(seeds.len(), program.num_procs(), "one seed per procedure");
     assert_eq!(locals.len(), program.num_procs(), "one LOCAL per procedure");
     guard.checkpoint("gmod")?;
@@ -134,19 +140,25 @@ pub fn solve_gmod_multi_fused<S: EffectSet>(
     seeds: &[S],
     locals: &[S],
 ) -> GmodSolutionIn<S> {
-    solve_gmod_multi_fused_guarded(program, call_graph, seeds, locals, &Guard::unlimited())
-        .expect("an unlimited guard cannot interrupt the solver")
+    SolveCtx::unlimited(|ctx| solve_gmod_multi_fused_with(ctx, program, call_graph, seeds, locals))
 }
 
-/// [`solve_gmod_multi_fused`] under a cooperative [`Guard`] (checkpoint
-/// `"gmod"`, strides in the single depth-first pass).
-pub fn solve_gmod_multi_fused_guarded<S: EffectSet>(
+/// [`solve_gmod_multi_fused`] under a [`SolveCtx`] (checkpoint `"gmod"`,
+/// guard strides in the single depth-first pass; sequential and
+/// untraced).
+///
+/// # Errors
+///
+/// Returns the guard's [`Interrupt`] on a trip; the partial result is
+/// discarded.
+pub fn solve_gmod_multi_fused_with<S: EffectSet>(
+    ctx: &SolveCtx<'_>,
     program: &Program,
     call_graph: &DiGraph,
     seeds: &[S],
     locals: &[S],
-    guard: &Guard,
 ) -> Result<GmodSolutionIn<S>, Interrupt> {
+    let guard = ctx.guard;
     assert_eq!(seeds.len(), program.num_procs(), "one seed per procedure");
     assert_eq!(locals.len(), program.num_procs(), "one LOCAL per procedure");
     guard.checkpoint("gmod")?;

@@ -8,8 +8,8 @@
 //! degenerate into the simple filter of equation (4).
 
 use modref_bitset::{EffectSet, OpCounter};
-use modref_guard::{Guard, Interrupt};
-use modref_ir::{Actual, Program};
+use modref_guard::{Interrupt, SolveCtx};
+use modref_ir::{Actual, CallSiteId, Program, VarId};
 
 use modref_binding::RmodSolutionIn;
 
@@ -58,13 +58,16 @@ pub fn compute_imod_plus<S: EffectSet>(
     initial: &[S],
     rmod: &RmodSolutionIn<S>,
 ) -> (Vec<S>, OpCounter) {
-    compute_imod_plus_guarded(program, initial, rmod, &Guard::unlimited())
-        .expect("an unlimited guard cannot interrupt the solver")
+    SolveCtx::unlimited(|ctx| compute_imod_plus_with(ctx, program, initial, rmod.rmod_all()))
 }
 
-/// [`compute_imod_plus`] under a cooperative [`Guard`]: the single pass
-/// over call sites polls the guard every few hundred sites and charges its
-/// boolean work against the budget.
+/// [`compute_imod_plus`] over per-procedure `RMOD` rows (`rmod[q]` holds
+/// the formals of `q` in `RMOD(q)`, as [`RmodSolutionIn::rmod_all`]
+/// returns them), under a [`SolveCtx`]: the single pass over call sites
+/// polls the guard every few hundred sites and charges its boolean work
+/// against the budget. It has no named checkpoint of its own — the
+/// caller names the phase (`imod_plus` in the batch pipeline, `incr.plus`
+/// in the incremental engine).
 ///
 /// # Errors
 ///
@@ -73,40 +76,58 @@ pub fn compute_imod_plus<S: EffectSet>(
 ///
 /// # Panics
 ///
-/// Panics if `initial.len() != program.num_procs()`.
-pub fn compute_imod_plus_guarded<S: EffectSet>(
+/// Panics if `initial` or `rmod` is not one set per procedure.
+pub fn compute_imod_plus_with<S: EffectSet>(
+    ctx: &SolveCtx<'_>,
     program: &Program,
     initial: &[S],
-    rmod: &RmodSolutionIn<S>,
-    guard: &Guard,
+    rmod: &[S],
 ) -> Result<(Vec<S>, OpCounter), Interrupt> {
     assert_eq!(
         initial.len(),
         program.num_procs(),
         "one initial set per procedure"
     );
-    guard.checkpoint("imod_plus")?;
+    assert_eq!(rmod.len(), initial.len(), "one RMOD row per procedure");
     let mut stats = OpCounter::new();
     let mut meter = Meter::new(256);
     let mut plus = initial.to_vec();
     for s in program.sites() {
-        meter.tick(guard, &stats)?;
+        meter.tick(ctx.guard, &stats)?;
         let site = program.site(s);
-        let caller = site.caller();
-        let callee_formals = program.proc_(site.callee()).formals();
+        let callee = site.callee().index();
         stats.edges_visited += 1;
-        for (pos, arg) in site.args().iter().enumerate() {
-            stats.bool_steps += 1;
-            if !rmod.is_modified(callee_formals[pos]) {
-                continue;
-            }
-            if let Actual::Ref(r) = arg {
-                plus[caller.index()].insert(r.var.index());
-            }
+        let steps = fold_site(program, s, &mut plus[site.caller().index()], |f| {
+            Ok::<_, Interrupt>(rmod[callee].contains(f.index()))
+        })?;
+        stats.bool_steps += steps;
+    }
+    meter.settle(ctx.guard, &stats)?;
+    Ok((plus, stats))
+}
+
+/// Equation (5) at one call site `s = (p, q)`: every by-reference actual
+/// whose receiving formal `in_rmod` reports in `RMOD(q)` joins `plus`,
+/// which holds `p`'s set. Returns the boolean steps taken, one per
+/// argument. The exhaustive pass above and the demand engine, which
+/// decides formal bits lazily, both fold sites through this.
+pub(crate) fn fold_site<S: EffectSet, E>(
+    program: &Program,
+    s: CallSiteId,
+    plus: &mut S,
+    mut in_rmod: impl FnMut(VarId) -> Result<bool, E>,
+) -> Result<u64, E> {
+    let site = program.site(s);
+    let formals = program.proc_(site.callee()).formals();
+    for (pos, arg) in site.args().iter().enumerate() {
+        if !in_rmod(formals[pos])? {
+            continue;
+        }
+        if let Actual::Ref(r) = arg {
+            plus.insert(r.var.index());
         }
     }
-    meter.settle(guard, &stats)?;
-    Ok((plus, stats))
+    Ok(site.args().len() as u64)
 }
 
 #[cfg(test)]

@@ -61,27 +61,23 @@ pub mod gmod;
 pub mod gmod_levels;
 pub mod gmod_nested;
 pub mod imod_plus;
-pub mod incremental;
 mod meter;
 pub mod modsets;
 pub mod pipeline;
 
 pub use alias::{AliasPairs, AliasPairsIn};
 pub use demand::{
-    conservative_proc_answer, conservative_site_answer, query_proc_guarded, query_site_guarded,
+    conservative_proc_answer, conservative_site_answer, query_proc_with, query_site_with,
     DemandMemo, ProcAnswer, Side, SiteAnswer,
 };
-pub use gmod::{solve_gmod_one_level, solve_gmod_one_level_guarded, GmodSolution, GmodSolutionIn};
-pub use gmod_levels::{
-    solve_component, solve_gmod_levels, solve_gmod_levels_guarded, solve_gmod_levels_traced,
-};
-pub use gmod_nested::{
-    solve_gmod_multi_fused, solve_gmod_multi_fused_guarded, solve_gmod_multi_naive,
-    solve_gmod_multi_naive_guarded,
-};
-pub use imod_plus::{compute_imod_plus, compute_imod_plus_guarded};
-pub use incremental::{Delta, EditError, IncrementalAnalyzer};
 pub use dmod::{DmodSolution, DmodSolutionIn};
+pub use gmod::{solve_gmod_one_level, solve_gmod_one_level_with, GmodSolution, GmodSolutionIn};
+pub use gmod_levels::{solve_component, solve_gmod_levels, solve_gmod_levels_with};
+pub use gmod_nested::{
+    solve_gmod_multi_fused, solve_gmod_multi_fused_with, solve_gmod_multi_naive,
+    solve_gmod_multi_naive_with,
+};
+pub use imod_plus::{compute_imod_plus, compute_imod_plus_with};
 pub use modsets::{ModSolution, ModSolutionIn};
 pub use pipeline::{
     AnalysisOutcome, Analyzer, DegradeReason, GmodAlgorithm, Phase, PhaseMask, PhaseStats,
@@ -96,7 +92,7 @@ pub use modref_bitset::{BitSet, EffectSet, HybridSet, SetRepr};
 /// injection), re-exported so downstream crates need not depend on
 /// `modref-guard` directly.
 pub use modref_guard as guard;
-pub use modref_guard::{Budget, CancelToken, FaultAction, FaultPlan, Guard, Interrupt};
+pub use modref_guard::{Budget, CancelToken, FaultAction, FaultPlan, Guard, Interrupt, SolveCtx};
 
 /// The tracing layer ([`Analyzer::with_trace`]), re-exported so
 /// downstream crates need not depend on `modref-trace` directly.

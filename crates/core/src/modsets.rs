@@ -1,11 +1,11 @@
 //! `MOD` from `DMOD` plus aliases — §5 step (2).
 
 use modref_bitset::{BitSet, EffectSet, OpCounter};
-use modref_guard::{Guard, Interrupt};
+use modref_guard::{Interrupt, SolveCtx};
 use modref_ir::{CallSiteId, Program};
 
 use crate::alias::AliasPairsIn;
-use crate::dmod::DmodSolutionIn;
+use crate::dmod::{map_sites, DmodSolutionIn};
 
 /// Per-call-site final `MOD` (or `USE`) sets.
 #[derive(Debug, Clone)]
@@ -55,73 +55,31 @@ pub fn compute_mod<S: EffectSet>(
     dmod: &DmodSolutionIn<S>,
     aliases: &AliasPairsIn<S>,
 ) -> ModSolutionIn<S> {
-    compute_mod_pooled(program, dmod, aliases, &modref_par::ThreadPool::new(1))
+    SolveCtx::unlimited(|ctx| compute_mod_with(ctx, program, dmod, aliases))
 }
 
-/// [`compute_mod`] with the per-site alias factoring spread over `pool`;
-/// sites are independent, so the result is identical at any thread count.
-pub fn compute_mod_pooled<S: EffectSet>(
-    program: &Program,
-    dmod: &DmodSolutionIn<S>,
-    aliases: &AliasPairsIn<S>,
-    pool: &modref_par::ThreadPool,
-) -> ModSolutionIn<S> {
-    compute_mod_guarded(program, dmod, aliases, pool, &Guard::unlimited())
-        .expect("an unlimited guard cannot interrupt the solver")
-}
-
-/// [`compute_mod_pooled`] under a cooperative [`Guard`]: the per-site
-/// alias factoring polls the guard between sites (and between chunks on
-/// the pool), charging one bit-vector step per site.
+/// [`compute_mod`] under a [`SolveCtx`]: checkpoint `"modsets"`, then the
+/// per-site alias factoring through the shared per-site fan-out — fanned out over the
+/// pool (sites are independent, so the result is identical at any thread
+/// count) and charged one bit-vector step per site.
 ///
 /// # Errors
 ///
 /// Returns the guard's [`Interrupt`] if a deadline, budget, or
 /// cancellation trips mid-factoring; partial per-site sets are discarded.
-pub fn compute_mod_guarded<S: EffectSet>(
+pub fn compute_mod_with<S: EffectSet>(
+    ctx: &SolveCtx<'_>,
     program: &Program,
     dmod: &DmodSolutionIn<S>,
     aliases: &AliasPairsIn<S>,
-    pool: &modref_par::ThreadPool,
-    guard: &Guard,
 ) -> Result<ModSolutionIn<S>, Interrupt> {
-    guard.checkpoint("modsets")?;
+    ctx.guard.checkpoint("modsets")?;
     let mut stats = OpCounter::new();
     stats.bitvec_steps += program.num_sites() as u64;
-    let per_site = if pool.is_sequential() {
-        let mut v = Vec::with_capacity(program.num_sites());
-        for s in program.sites() {
-            if s.index() % 64 == 0 {
-                guard.charge(64.min(program.num_sites() - s.index()) as u64, 0);
-                guard.check()?;
-            }
-            let caller = program.site(s).caller();
-            v.push(aliases.extend_with_aliases(caller, dmod.dmod_site(s)));
-        }
-        v
-    } else {
-        let slots = pool.par_map_while(program.num_sites(), || !guard.should_stop(), |i| {
-            if i % 64 == 0 {
-                guard.charge(64.min(program.num_sites() - i) as u64, 0);
-                let _ = guard.check();
-            }
-            let s = CallSiteId::new(i);
-            let caller = program.site(s).caller();
-            aliases.extend_with_aliases(caller, dmod.dmod_site(s))
-        });
-        let mut v = Vec::with_capacity(slots.len());
-        for slot in slots {
-            match slot {
-                Some(set) => v.push(set),
-                None => {
-                    guard.check()?;
-                    return Err(guard.interrupt().unwrap_or(Interrupt::Halted));
-                }
-            }
-        }
-        v
-    };
-    guard.check()?;
+    let per_site = map_sites(ctx, program, |s| {
+        let caller = program.site(s).caller();
+        aliases.extend_with_aliases(caller, dmod.dmod_site(s))
+    })?;
     Ok(ModSolutionIn { per_site, stats })
 }
 

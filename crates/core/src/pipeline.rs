@@ -12,20 +12,20 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use modref_binding::{solve_rmod_traced, BindingGraph, RmodSolutionIn};
+use modref_binding::{solve_rmod_with, BindingGraph, RmodSolutionIn};
 use modref_bitset::{BitSet, EffectSet, HybridSet, OpCounter, SetRepr};
-use modref_guard::{Guard, Interrupt};
+use modref_guard::{Guard, Interrupt, SolveCtx};
 use modref_ir::{CallGraph, CallSiteId, LocalEffects, LocalEffectsIn, ProcId, Program};
 use modref_par::ThreadPool;
 use modref_trace::Trace;
 
 use crate::alias::{AliasPairs, AliasPairsIn};
-use crate::dmod::{compute_dmod_guarded, DmodSolutionIn};
-use crate::gmod::{solve_gmod_one_level_guarded, GmodSolutionIn};
-use crate::gmod_levels::solve_gmod_levels_traced;
-use crate::gmod_nested::{solve_gmod_multi_fused_guarded, solve_gmod_multi_naive_guarded};
-use crate::imod_plus::compute_imod_plus_guarded;
-use crate::modsets::compute_mod_guarded;
+use crate::dmod::{compute_dmod_with, DmodSolutionIn};
+use crate::gmod::{solve_gmod_one_level_with, GmodSolutionIn};
+use crate::gmod_levels::solve_gmod_levels_with;
+use crate::gmod_nested::{solve_gmod_multi_fused_with, solve_gmod_multi_naive_with};
+use crate::imod_plus::compute_imod_plus_with;
+use crate::modsets::compute_mod_with;
 
 /// Attaches the non-zero fields of an [`OpCounter`] as numeric span
 /// attributes, so traced phases report their work in the paper's units.
@@ -447,6 +447,7 @@ impl Analyzer {
         let started = Instant::now();
         let mut stats = PhaseStats::default();
         let pool = ThreadPool::with_threads(self.threads);
+        let ctx = SolveCtx::new(&pool, guard, &self.trace);
         let mut failures: Vec<Failure> = Vec::new();
         let mut run_span = self.trace.span("analyze");
         run_span.arg("threads", pool.threads() as u64);
@@ -471,13 +472,16 @@ impl Analyzer {
         );
         drop(local_span);
         stats.wall.local += t.elapsed();
-        let call_graph = CallGraph::build(program);
-        let beta = BindingGraph::build(program);
-        let locals: Vec<S> = program
-            .local_sets()
-            .into_iter()
-            .map(S::from_dense_owned)
-            .collect();
+        let shared = Shared {
+            program,
+            call_graph: CallGraph::build(program),
+            beta: BindingGraph::build(program),
+            locals: program
+                .local_sets()
+                .into_iter()
+                .map(S::from_dense_owned)
+                .collect(),
+        };
 
         // Phases 1-3 for MOD, optionally for USE. Each half reads only
         // immutable inputs, so with `parallel()` (or a multi-thread pool)
@@ -485,23 +489,8 @@ impl Analyzer {
         // current one; pool jobs from the two halves serialise on the
         // pool's submit lock. The halves share `guard`, so one half's
         // budget trip also stops the other at its next poll.
-        let run_half = |initial: &[S], is_mod: bool| {
-            let mut half_stats = PhaseStats::default();
-            let mut half_failures = Vec::new();
-            let r = self.half_pipeline(
-                program,
-                &call_graph,
-                &beta,
-                initial,
-                &locals,
-                &pool,
-                &mut half_stats,
-                is_mod,
-                guard,
-                &mut half_failures,
-            );
-            (r, half_stats, half_failures)
-        };
+        let run_half =
+            |initial: &[S], is_mod: bool| self.half_pipeline(&ctx, &shared, initial, is_mod);
         let halves_concurrent = self.parallel || pool.threads() > 1;
         let (mod_half, use_half) = if self.skip_use {
             (run_half(effects.imod_all(), true), None)
@@ -522,20 +511,26 @@ impl Analyzer {
                 Some(run_half(effects.iuse_all(), false)),
             )
         };
-        let ((gmod, imod_plus, rmod), mod_stats, mod_failures) = mod_half;
+        let Half {
+            gmod,
+            plus: imod_plus,
+            rmod,
+            stats: mod_stats,
+            failures: mod_failures,
+        } = mod_half;
         stats.rmod += mod_stats.rmod;
         stats.gmod += mod_stats.gmod;
         stats.imod_plus += mod_stats.imod_plus;
         stats.wall.absorb(&mod_stats.wall);
         failures.extend(mod_failures);
         let (guse, iuse_plus, ruse) = match use_half {
-            Some(((g, i, r), use_stats, use_failures)) => {
-                stats.ruse += use_stats.ruse;
-                stats.guse += use_stats.guse;
-                stats.imod_plus += use_stats.imod_plus;
-                stats.wall.absorb(&use_stats.wall);
-                failures.extend(use_failures);
-                (g, i, r)
+            Some(half) => {
+                stats.ruse += half.stats.ruse;
+                stats.guse += half.stats.guse;
+                stats.imod_plus += half.stats.imod_plus;
+                stats.wall.absorb(&half.stats.wall);
+                failures.extend(half.failures);
+                (half.gmod, half.plus, half.rmod)
             }
             None => {
                 let empty = vec![S::empty(program.num_vars()); program.num_procs()];
@@ -553,18 +548,18 @@ impl Analyzer {
             Phase::Dmod,
             &mut failures,
             &mut stats.wall.fallback,
-            || compute_dmod_guarded(program, &gmod, &pool, guard),
+            || compute_dmod_with(&ctx, program, &gmod),
             || DmodSolutionIn::conservative(program, &gmod),
         );
         stats.dmod += dmod.stats();
         let duse = if self.skip_use {
-            DmodSolutionIn::empty(program)
+            DmodSolutionIn::empty_impl(program)
         } else {
             let d = run_phase(
                 Phase::Dmod,
                 &mut failures,
                 &mut stats.wall.fallback,
-                || compute_dmod_guarded(program, &guse, &pool, guard),
+                || compute_dmod_with(&ctx, program, &guse),
                 || DmodSolutionIn::conservative(program, &guse),
             );
             stats.dmod += d.stats();
@@ -579,15 +574,15 @@ impl Analyzer {
         // factoring below compensates by widening the final sets instead.
         let t = Instant::now();
         let aliases = if self.skip_aliases {
-            AliasPairsIn::<S>::compute_empty(program)
+            AliasPairsIn::<S>::empty_impl(program)
         } else {
             let mut alias_span = self.trace.span("alias");
             let pairs = run_phase(
                 Phase::Aliases,
                 &mut failures,
                 &mut stats.wall.fallback,
-                || AliasPairsIn::<S>::compute_guarded(program, guard),
-                || AliasPairsIn::<S>::compute_empty(program),
+                || AliasPairsIn::<S>::compute_with(&ctx, program),
+                || AliasPairsIn::<S>::empty_impl(program),
             );
             let total_pairs: usize = program.procs().map(|p| pairs.pair_count(p)).sum();
             alias_span.arg("pairs", total_pairs as u64);
@@ -613,7 +608,7 @@ impl Analyzer {
             Phase::ModSets,
             &mut failures,
             &mut stats.wall.fallback,
-            || compute_mod_guarded(program, &dmod, &aliases, &pool, guard),
+            || compute_mod_with(&ctx, program, &dmod, &aliases),
             || crate::modsets::ModSolutionIn::conservative(conservative_sites(false)),
         );
         stats.modsets += mods.stats();
@@ -621,7 +616,7 @@ impl Analyzer {
             Phase::ModSets,
             &mut failures,
             &mut stats.wall.fallback,
-            || compute_mod_guarded(program, &duse, &aliases, &pool, guard),
+            || compute_mod_with(&ctx, program, &duse, &aliases),
             || crate::modsets::ModSolutionIn::conservative(conservative_sites(self.skip_use)),
         );
         stats.modsets += uses.stats();
@@ -676,8 +671,8 @@ impl Analyzer {
             mod_sites: sets_to_dense(mod_sites),
             use_sites: sets_to_dense(use_sites),
             aliases: aliases.into_dense(),
-            beta_nodes: beta.num_nodes(),
-            beta_edges: beta.num_edges(),
+            beta_nodes: shared.beta.num_nodes(),
+            beta_edges: shared.beta.num_edges(),
             stats,
         };
 
@@ -723,32 +718,33 @@ impl Analyzer {
 
     /// RMOD → IMOD⁺ → GMOD for one side of the problem, each phase with
     /// its conservative fallback (all formals / visible sets).
-    #[allow(clippy::too_many_arguments)]
     fn half_pipeline<S: EffectSet>(
         &self,
-        program: &Program,
-        call_graph: &CallGraph,
-        beta: &BindingGraph,
+        ctx: &SolveCtx<'_>,
+        shared: &Shared<'_, S>,
         initial: &[S],
-        locals: &[S],
-        pool: &ThreadPool,
-        stats: &mut PhaseStats,
         is_mod: bool,
-        guard: &Guard,
-        failures: &mut Vec<Failure>,
-    ) -> (Vec<S>, Vec<S>, Vec<S>) {
+    ) -> Half<S> {
+        let Shared {
+            program,
+            call_graph,
+            beta,
+            locals,
+        } = shared;
+        let mut stats = PhaseStats::default();
+        let mut failures = Vec::new();
         let (rmod_phase, plus_phase, gmod_phase) = if is_mod {
             (Phase::Rmod, Phase::ImodPlus, Phase::Gmod)
         } else {
             (Phase::Ruse, Phase::IusePlus, Phase::Guse)
         };
         let t = Instant::now();
-        let mut rmod_span = self.trace.span(rmod_phase.name());
+        let mut rmod_span = ctx.trace.span(rmod_phase.name());
         let rmod = run_phase(
             rmod_phase,
-            failures,
+            &mut failures,
             &mut stats.wall.fallback,
-            || solve_rmod_traced(program, initial, beta, pool, guard, &self.trace),
+            || solve_rmod_with(ctx, program, initial, beta),
             || RmodSolutionIn::conservative(program),
         );
         span_ops(&mut rmod_span, &rmod.stats());
@@ -761,12 +757,15 @@ impl Analyzer {
             stats.wall.ruse += t.elapsed();
         }
         let t = Instant::now();
-        let mut plus_span = self.trace.span(plus_phase.name());
+        let mut plus_span = ctx.trace.span(plus_phase.name());
         let (plus, plus_stats) = run_phase(
             plus_phase,
-            failures,
+            &mut failures,
             &mut stats.wall.fallback,
-            || compute_imod_plus_guarded(program, initial, &rmod, guard),
+            || {
+                ctx.guard.checkpoint("imod_plus")?;
+                compute_imod_plus_with(ctx, program, initial, rmod.rmod_all())
+            },
             || (visible_sets_in::<S>(program), OpCounter::new()),
         );
         span_ops(&mut plus_span, &plus_stats);
@@ -776,7 +775,7 @@ impl Analyzer {
 
         let algorithm = match self.gmod_algorithm {
             GmodAlgorithm::Auto => {
-                if pool.threads() > 1 {
+                if ctx.pool.threads() > 1 {
                     GmodAlgorithm::LevelScheduled
                 } else if program.max_level() <= 1 {
                     GmodAlgorithm::OneLevel
@@ -787,7 +786,7 @@ impl Analyzer {
             other => other,
         };
         let t = Instant::now();
-        let mut gmod_span = self.trace.span(gmod_phase.name());
+        let mut gmod_span = ctx.trace.span(gmod_phase.name());
         gmod_span.note(
             "algorithm",
             match algorithm {
@@ -797,29 +796,24 @@ impl Analyzer {
                 GmodAlgorithm::LevelScheduled => "level_scheduled",
             },
         );
+        let graph = call_graph.graph();
         let gmod: GmodSolutionIn<S> = run_phase(
             gmod_phase,
-            failures,
+            &mut failures,
             &mut stats.wall.fallback,
             || match algorithm {
                 GmodAlgorithm::OneLevel => {
-                    solve_gmod_one_level_guarded(program, call_graph.graph(), &plus, locals, guard)
+                    solve_gmod_one_level_with(ctx, program, graph, &plus, locals)
                 }
                 GmodAlgorithm::MultiLevelNaive => {
-                    solve_gmod_multi_naive_guarded(program, call_graph.graph(), &plus, locals, guard)
+                    solve_gmod_multi_naive_with(ctx, program, graph, &plus, locals)
                 }
                 GmodAlgorithm::MultiLevelFused | GmodAlgorithm::Auto => {
-                    solve_gmod_multi_fused_guarded(program, call_graph.graph(), &plus, locals, guard)
+                    solve_gmod_multi_fused_with(ctx, program, graph, &plus, locals)
                 }
-                GmodAlgorithm::LevelScheduled => solve_gmod_levels_traced(
-                    program,
-                    call_graph.graph(),
-                    &plus,
-                    locals,
-                    pool,
-                    guard,
-                    &self.trace,
-                ),
+                GmodAlgorithm::LevelScheduled => {
+                    solve_gmod_levels_with(ctx, program, graph, &plus, locals)
+                }
             },
             || GmodSolutionIn::new(visible_sets_in::<S>(program), OpCounter::new()),
         );
@@ -832,10 +826,32 @@ impl Analyzer {
             stats.guse += gmod.stats();
             stats.wall.guse += t.elapsed();
         }
-        let (gmod_sets, _) = gmod.into_parts();
-        let rmod_sets = rmod.rmod_all().to_vec();
-        (gmod_sets, plus, rmod_sets)
+        Half {
+            gmod: gmod.into_parts().0,
+            plus,
+            rmod: rmod.rmod_all().to_vec(),
+            stats,
+            failures,
+        }
     }
+}
+
+/// One half's reported sets, with its stats and failures.
+struct Half<S: EffectSet> {
+    gmod: Vec<S>,
+    plus: Vec<S>,
+    rmod: Vec<S>,
+    stats: PhaseStats,
+    failures: Vec<Failure>,
+}
+
+/// The immutable inputs both pipeline halves read.
+struct Shared<'a, S: EffectSet> {
+    program: &'a Program,
+    call_graph: CallGraph,
+    beta: BindingGraph,
+    /// `LOCAL(p)` per procedure, in the working representation.
+    locals: Vec<S>,
 }
 
 /// Work counters per pipeline phase, in the paper's cost units.
@@ -1078,67 +1094,6 @@ impl Summary {
     /// Per-phase work counters.
     pub fn stats(&self) -> &PhaseStats {
         &self.stats
-    }
-
-    // --- mutators for the incremental analyzer (crate-internal) --------
-
-    pub(crate) fn set_local_effects(&mut self, effects: LocalEffects) {
-        self.effects = effects;
-    }
-
-    pub(crate) fn rmod_mut(&mut self, p: ProcId) -> &mut BitSet {
-        &mut self.rmod[p.index()]
-    }
-
-    pub(crate) fn ruse_mut(&mut self, p: ProcId) -> &mut BitSet {
-        &mut self.ruse[p.index()]
-    }
-
-    pub(crate) fn imod_plus_mut(&mut self, p: ProcId) -> &mut BitSet {
-        &mut self.imod_plus[p.index()]
-    }
-
-    pub(crate) fn iuse_plus_mut(&mut self, p: ProcId) -> &mut BitSet {
-        &mut self.iuse_plus[p.index()]
-    }
-
-    pub(crate) fn gmod_mut(&mut self, p: ProcId) -> &mut BitSet {
-        &mut self.gmod[p.index()]
-    }
-
-    pub(crate) fn guse_mut(&mut self, p: ProcId) -> &mut BitSet {
-        &mut self.guse[p.index()]
-    }
-
-    /// Replaces one site's projected sets; returns `true` if the final
-    /// `MOD` or `USE` set grew.
-    pub(crate) fn replace_site_sets(
-        &mut self,
-        s: CallSiteId,
-        dmod: BitSet,
-        mod_: BitSet,
-        duse: BitSet,
-        use_: BitSet,
-    ) -> bool {
-        let grew = !mod_.is_subset(&self.mod_sites[s.index()])
-            || !use_.is_subset(&self.use_sites[s.index()]);
-        self.dmod_sites[s.index()] = dmod;
-        self.mod_sites[s.index()] = mod_;
-        self.duse_sites[s.index()] = duse;
-        self.use_sites[s.index()] = use_;
-        grew
-    }
-}
-
-impl<S: EffectSet> DmodSolutionIn<S> {
-    fn empty(program: &Program) -> Self {
-        Self::empty_impl(program)
-    }
-}
-
-impl<S: EffectSet> AliasPairsIn<S> {
-    fn compute_empty(program: &Program) -> Self {
-        Self::empty_impl(program)
     }
 }
 

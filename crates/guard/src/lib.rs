@@ -17,10 +17,16 @@
 //! a seed (`MODREF_FAULT=seed` in the environment) or pinned per-site, so
 //! the degradation machinery is exercised deliberately rather than only on
 //! hostile inputs.
+//!
+//! [`SolveCtx`] bundles a guard with the worker pool and trace handle a
+//! solver phase also needs, so each phase takes one context argument.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use modref_par::ThreadPool;
+use modref_trace::Trace;
 
 /// Resource limits for one guarded analysis run.
 ///
@@ -401,6 +407,47 @@ impl Guard {
     }
 }
 
+/// The three runtime handles one solver phase runs under: the worker
+/// pool its fan-outs use, the guard it polls and charges, and the trace it
+/// records into.
+///
+/// Every solver phase has exactly two entry points: a plain function that
+/// cannot fail, and a `foo_with(ctx, …) -> Result<_, Interrupt>` that
+/// takes one of these. The plain function is
+/// [`SolveCtx::unlimited`] around the `_with` one.
+#[derive(Debug, Clone, Copy)]
+pub struct SolveCtx<'a> {
+    /// Pool for per-procedure and per-site fan-outs; a sequential pool
+    /// runs them inline.
+    pub pool: &'a ThreadPool,
+    /// Budget, deadline, cancellation and fault plan for the run.
+    pub guard: &'a Guard,
+    /// Span recorder; [`Trace::disabled`] makes every record a no-op.
+    pub trace: &'a Trace,
+}
+
+impl<'a> SolveCtx<'a> {
+    /// Bundles the three handles.
+    pub fn new(pool: &'a ThreadPool, guard: &'a Guard, trace: &'a Trace) -> Self {
+        SolveCtx { pool, guard, trace }
+    }
+
+    /// Runs `solve` on one thread, under an unlimited guard, with tracing
+    /// off — the context behind every plain solver entry point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `solve` reports an interrupt, which an unlimited guard
+    /// never raises.
+    pub fn unlimited<T>(solve: impl FnOnce(&SolveCtx<'_>) -> Result<T, Interrupt>) -> T {
+        let pool = ThreadPool::new(1);
+        let guard = Guard::unlimited();
+        let trace = Trace::disabled();
+        solve(&SolveCtx::new(&pool, &guard, &trace))
+            .expect("an unlimited guard cannot interrupt the solver")
+    }
+}
+
 /// Amortises guard polls over tight loops: calls [`Guard::check`] once per
 /// `stride` ticks. A stride in the hundreds keeps the overhead invisible
 /// while bounding how much work can run past a trip.
@@ -554,6 +601,17 @@ mod tests {
         g.charge(1, 0);
         g.halt();
         assert_eq!(g.interrupt(), Some(Interrupt::BitvecBudget));
+    }
+
+    #[test]
+    fn unlimited_ctx_is_sequential_untraced_and_never_trips() {
+        let threads = SolveCtx::unlimited(|ctx| {
+            assert!(!ctx.trace.is_enabled());
+            ctx.guard.charge(1 << 40, 1 << 40);
+            ctx.guard.checkpoint("rmod")?;
+            Ok(ctx.pool.threads())
+        });
+        assert_eq!(threads, 1);
     }
 
     #[test]

@@ -65,12 +65,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use modref_binding::BindingGraph;
 use modref_bitset::{BitSet, EffectSet, OpCounter};
-use modref_core::{solve_component, Analyzer};
+use modref_core::{compute_imod_plus_with, solve_component, Analyzer};
 use modref_graph::{DiGraph, DynCondensation, SccId, SparseSweep};
-use modref_guard::{Guard, Interrupt};
-use modref_ir::{
-    walk_stmts, Actual, CallGraph, CallSiteId, Edit, EditDelta, EditError, ProcId, Program, VarId,
-};
+use modref_guard::{Guard, Interrupt, SolveCtx};
+use modref_ir::{CallGraph, CallSiteId, Edit, EditDelta, EditError, ProcId, Program, VarId};
 use modref_par::ThreadPool;
 use modref_trace::Trace;
 
@@ -409,6 +407,39 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
     ///
     /// Re-raises a solver panic (which [`IncrementalEngine::apply_guarded`]
     /// would contain).
+    ///
+    /// # Examples
+    ///
+    /// An additive edit — `leaf` keeps its write of `g` and gains one of
+    /// `h` — flows up the call chain to `mid` and `main`:
+    ///
+    /// ```
+    /// use modref_incr::{Edit, IncrementalEngine};
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let program = modref_frontend::parse_program("
+    ///     var g, h;
+    ///     proc leaf() { g = 1; }
+    ///     proc mid() { call leaf(); }
+    ///     main { call mid(); }
+    /// ")?;
+    /// let g = program.vars().find(|&v| program.var_name(v) == "g").unwrap();
+    /// let h = program.vars().find(|&v| program.var_name(v) == "h").unwrap();
+    /// let leaf = program.procs().find(|&p| program.proc_name(p) == "leaf").unwrap();
+    ///
+    /// let mut engine = IncrementalEngine::new(program);
+    /// assert!(!engine.gmod(leaf).contains(h.index()));
+    ///
+    /// let delta = engine.apply(&Edit::SetLocalEffects {
+    ///     proc_: leaf,
+    ///     mods: vec![g, h],
+    ///     uses: vec![],
+    /// })?;
+    /// assert_eq!(delta.changed_procs.len(), 3);
+    /// assert!(engine.gmod(leaf).contains(h.index()));
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn apply(&mut self, edit: &Edit) -> Result<IncrDelta, EditError> {
         match self.apply_guarded(edit, &Guard::unlimited())? {
             IncrOutcome::Clean(delta) => Ok(delta),
@@ -552,6 +583,7 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
         let nv = program.num_vars();
         let ns = program.num_sites();
         let pool = ThreadPool::with_threads(self.threads);
+        let ctx = SolveCtx::new(&pool, guard, &self.trace);
 
         let had_cache = cache.is_some();
         let mode = match (had_cache, delta) {
@@ -728,8 +760,8 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
         drop(phase_span);
         let phase_span = self.trace.span("incr.phase.plus");
         guard.checkpoint("incr.plus")?;
-        let plus_mod = compute_plus(program, &imod, &rmod, guard)?;
-        let plus_use = compute_plus(program, &iuse, &ruse, guard)?;
+        let (plus_mod, _) = compute_imod_plus_with(&ctx, program, &imod, &rmod)?;
+        let (plus_use, _) = compute_imod_plus_with(&ctx, program, &iuse, &ruse)?;
         let plus_mod_dirty =
             diff_procs(&plus_mod, old.as_ref().map(|o| o.plus_mod.as_slice()), &is_new_proc);
         let plus_use_dirty =
@@ -803,8 +835,7 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
                 &local_sets,
                 dirty_mod,
                 nv,
-                &pool,
-                guard,
+                &ctx,
                 &mut gmod_reused,
                 &mut gmod_recomputed,
             )?;
@@ -822,8 +853,7 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
                 &local_sets,
                 dirty_use,
                 nv,
-                &pool,
-                guard,
+                &ctx,
                 &mut gmod_reused,
                 &mut gmod_recomputed,
             )?;
@@ -865,7 +895,7 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
             // Alias pairs depend only on call sites and visibility, both
             // unchanged under a set-local edit.
             (Mode::SetLocal, Some(a)) => (a, false),
-            _ => (AliasPairsIn::compute_guarded(program, guard)?, true),
+            _ => (AliasPairsIn::compute_with(&ctx, program)?, true),
         };
         let mut old_sites = old.map(|o| (o.dmod, o.duse, o.mods, o.uses));
         let no_old = old_sites.is_none();
@@ -1256,17 +1286,11 @@ fn fresh_call_cache<S: EffectSet>(
     }
 }
 
-/// Flat (call-free) `LMOD`/`LUSE` of one procedure — the same statement
-/// walk [`modref_ir::LocalEffects::compute`] performs per procedure.
+/// Flat (call-free) `LMOD`/`LUSE` of one procedure, in the working
+/// representation.
 fn flat_effects_of<S: EffectSet>(program: &Program, p: ProcId) -> (S, S) {
-    let nv = program.num_vars();
-    let mut m = S::empty(nv);
-    let mut u = S::empty(nv);
-    walk_stmts(program.proc_(p).body(), &mut |s| {
-        m.union_with(&S::from_dense_owned(modref_ir::lmod_of_stmt(program, s)));
-        u.union_with(&S::from_dense_owned(modref_ir::luse_of_stmt(program, s)));
-    });
-    (m, u)
+    let (m, u) = modref_ir::flat_effects_of(program, p);
+    (S::from_dense_owned(m), S::from_dense_owned(u))
 }
 
 /// The §3.3 nesting extension, children before parents — a verbatim
@@ -1399,37 +1423,6 @@ fn rmod_sweep_side<S: EffectSet>(
     Ok((seeds, rmod))
 }
 
-/// Equation (5), exactly as [`modref_core::compute_imod_plus`] computes
-/// it (`rmod[callee]` holding only own-formal bits makes the membership
-/// test equivalent to `RmodSolution::is_modified`).
-fn compute_plus<S: EffectSet>(
-    program: &Program,
-    initial: &[S],
-    rmod: &[S],
-    guard: &Guard,
-) -> Result<Vec<S>, Interrupt> {
-    let mut plus = initial.to_vec();
-    let mut steps = 0u64;
-    for s in program.sites() {
-        let site = program.site(s);
-        let caller = site.caller();
-        let callee = site.callee();
-        let callee_formals = program.proc_(callee).formals();
-        for (pos, arg) in site.args().iter().enumerate() {
-            steps += 1;
-            if !rmod[callee.index()].contains(callee_formals[pos].index()) {
-                continue;
-            }
-            if let Actual::Ref(r) = arg {
-                plus[caller.index()].insert(r.var.index());
-            }
-        }
-    }
-    guard.charge(0, steps);
-    guard.check()?;
-    Ok(plus)
-}
-
 /// `new[p] != old[p]` per procedure (new procedures always dirty; no old
 /// results means everything is; an old vector shorter than `new` — ids
 /// appended by the edit — dirties the tail).
@@ -1447,16 +1440,16 @@ fn diff_procs<S: EffectSet>(new: &[S], old: Option<&[S]>, is_new: &[bool]) -> Ve
 /// component's value-changed bit to `on_done`.
 #[allow(clippy::too_many_arguments)]
 fn run_batch<S: EffectSet>(
+    ctx: &SolveCtx<'_>,
     batch: &[SccId],
     dc: &DynCondensation,
     rows: &mut [S],
     seeds: &[S],
     locals: &[S],
     nv: usize,
-    pool: &ThreadPool,
-    guard: &Guard,
     mut on_done: impl FnMut(SccId, bool),
 ) -> Result<(), Interrupt> {
+    let SolveCtx { pool, guard, .. } = *ctx;
     let graph = dc.graph();
     let sccs = dc.sccs();
     let comp_map = sccs.component_map();
@@ -1511,27 +1504,16 @@ fn sweep_gmod_side<S: EffectSet>(
     locals: &[S],
     dirty: Option<(&[bool], &[bool], &[usize])>,
     nv: usize,
-    pool: &ThreadPool,
-    guard: &Guard,
+    ctx: &SolveCtx<'_>,
     reused: &mut usize,
     recomputed: &mut usize,
 ) -> Result<(), Interrupt> {
-    guard.checkpoint("incr.gmod.sweep")?;
+    ctx.guard.checkpoint("incr.gmod.sweep")?;
     match dirty {
         None => {
             let levels = dc.levels();
             for level in 0..levels.num_levels() {
-                run_batch(
-                    levels.group(level),
-                    dc,
-                    rows,
-                    seeds,
-                    locals,
-                    nv,
-                    pool,
-                    guard,
-                    |_, _| {},
-                )?;
+                run_batch(ctx, levels.group(level), dc, rows, seeds, locals, nv, |_, _| {})?;
             }
             *recomputed += dc.sccs().len();
         }
@@ -1555,7 +1537,7 @@ fn sweep_gmod_side<S: EffectSet>(
             }
             let mut batch = Vec::new();
             while sweep.next_batch(&mut batch) {
-                run_batch(&batch, dc, rows, seeds, locals, nv, pool, guard, |c, changed| {
+                run_batch(ctx, &batch, dc, rows, seeds, locals, nv, |c, changed| {
                     sweep.update(c, changed)
                 })?;
             }
@@ -1568,7 +1550,7 @@ fn sweep_gmod_side<S: EffectSet>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use modref_ir::{Expr, ProgramBuilder};
+    use modref_ir::{Actual, Expr, ProgramBuilder};
 
     fn base_engine() -> (IncrementalEngine, VarId, VarId, ProcId, ProcId, CallSiteId) {
         let mut b = ProgramBuilder::new();

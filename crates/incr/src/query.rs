@@ -31,13 +31,14 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use modref_core::demand::{
-    conservative_proc_answer, conservative_site_answer, query_proc_guarded, query_site_guarded,
+    conservative_proc_answer, conservative_site_answer, query_proc_with, query_site_with,
     DemandMemoIn, ProcAnswer, SiteAnswer,
 };
-use modref_core::{Analyzer, Guard};
+use modref_core::{Analyzer, Guard, SolveCtx};
 use modref_bitset::{BitSet, EffectSet, HybridSet, OpCounter, SetRepr};
 use modref_core::Trace;
 use modref_ir::{CallSiteId, Edit, EditError, ProcId, Program};
+use modref_par::ThreadPool;
 
 use crate::engine::{IncrDelta, IncrOutcome, IncrementalEngineIn, IncrementalExt, ReplayError};
 use crate::render::SiteSets;
@@ -227,9 +228,11 @@ impl<S: EffectSet> QueryEngineIn<S> {
                 trace,
                 ..
             } => {
-                let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    query_site_guarded(program, memo, s, guard, trace)
-                }));
+                // The demand walk is sequential: it never fans out.
+                let pool = ThreadPool::new(1);
+                let ctx = SolveCtx::new(&pool, guard, trace);
+                let attempt =
+                    catch_unwind(AssertUnwindSafe(|| query_site_with(&ctx, program, memo, s)));
                 match attempt {
                     Ok(Ok((answer, ops))) => QueryOutcome {
                         answer,
@@ -283,9 +286,10 @@ impl<S: EffectSet> QueryEngineIn<S> {
                 trace,
                 ..
             } => {
-                let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    query_proc_guarded(program, memo, p, guard, trace)
-                }));
+                let pool = ThreadPool::new(1);
+                let ctx = SolveCtx::new(&pool, guard, trace);
+                let attempt =
+                    catch_unwind(AssertUnwindSafe(|| query_proc_with(&ctx, program, memo, p)));
                 match attempt {
                     Ok(Ok((answer, ops))) => QueryOutcome {
                         answer,

@@ -173,6 +173,26 @@ fn injected_panic_at_every_incr_site_degrades_soundly_and_recovers() {
 }
 
 #[test]
+fn batch_phase_sites_never_fire_inside_an_apply() {
+    // The engine reuses batch kernels (equation (5) among them) but names
+    // its own checkpoints: a fault armed at a batch pipeline phase site
+    // must not reach a set-local apply.
+    for site in ["rmod", "imod_plus", "gmod", "dmod", "modsets"] {
+        let mut engine = IncrementalEngine::new(demo_program(400));
+        let edit = perturbing_edit(engine.program());
+        let guard = Guard::unlimited().with_faults(FaultPlan::new().panic_at(site));
+        let outcome = engine
+            .apply_guarded(&edit, &guard)
+            .expect("the edit itself is valid");
+        assert!(
+            matches!(outcome, IncrOutcome::Clean(_)),
+            "batch site `{site}` fired inside an incremental apply"
+        );
+        assert_bit_identical(&engine, &format!("fault armed at `{site}`"));
+    }
+}
+
+#[test]
 fn injected_panic_inside_patch_path_degrades_soundly_and_recovers() {
     // `incr.dyncond` / `incr.gmod.patch` only fire on the structural-patch
     // path, which needs a live cache — so fault a *structural* edit right

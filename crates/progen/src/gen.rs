@@ -76,8 +76,11 @@ impl Gen<'_> {
             .chain(self.procs.iter().copied())
             .collect();
         for &p in &all_procs {
-            self.gen_writes(b, p);
-            self.gen_calls(b, p);
+            // Declarations are complete, so `p`'s visible scalars stay
+            // fixed while its body is generated.
+            let scalars = self.visible_scalars(b, p);
+            self.gen_writes(b, p, &scalars);
+            self.gen_calls(b, p, &scalars);
         }
 
         if cfg.ensure_reachable {
@@ -99,20 +102,19 @@ impl Gen<'_> {
         ProcId::MAIN
     }
 
-    fn gen_writes(&mut self, b: &mut ProgramBuilder, p: ProcId) {
+    fn gen_writes(&mut self, b: &mut ProgramBuilder, p: ProcId, scalars: &[VarId]) {
         for _ in 0..self.range(self.config.writes_per_proc) {
-            let scalars = self.visible_scalars(b, p);
             if scalars.is_empty() {
                 continue;
             }
             let target = scalars[self.rng.gen_range(0..scalars.len())];
-            let value = self.gen_expr(&scalars);
+            let value = self.gen_expr(scalars);
             // Occasionally write an array element instead.
             if !self.global_arrays.is_empty() && self.rng.gen_bool(0.2) {
                 let (arr, rank) =
                     self.global_arrays[self.rng.gen_range(0..self.global_arrays.len())];
                 let subs = (0..rank)
-                    .map(|_| self.gen_subscript(&scalars))
+                    .map(|_| self.gen_subscript(scalars))
                     .collect::<Vec<_>>();
                 b.assign_indexed(p, arr, subs, value);
             } else {
@@ -120,37 +122,37 @@ impl Gen<'_> {
             }
         }
         // A read and a print for USE-side variety.
-        let scalars = self.visible_scalars(b, p);
         if !scalars.is_empty() && self.rng.gen_bool(0.5) {
             let v = scalars[self.rng.gen_range(0..scalars.len())];
             b.read(p, v);
         }
         if !scalars.is_empty() && self.rng.gen_bool(0.5) {
-            let e = self.gen_expr(&scalars);
+            let e = self.gen_expr(scalars);
             b.print(p, e);
         }
     }
 
-    fn gen_calls(&mut self, b: &mut ProgramBuilder, p: ProcId) {
+    fn gen_calls(&mut self, b: &mut ProgramBuilder, p: ProcId, scalars: &[VarId]) {
+        // The procedure tree is complete, so the candidates are fixed.
+        let callees = self.visible_callees(b, p);
         for _ in 0..self.range(self.config.calls_per_proc) {
-            let callees = self.visible_callees(b, p);
             if callees.is_empty() {
                 continue;
             }
             let callee = callees[self.rng.gen_range(0..callees.len())];
-            self.emit_call(b, p, callee);
+            self.emit_call(b, p, callee, scalars);
         }
     }
 
-    fn emit_call(&mut self, b: &mut ProgramBuilder, p: ProcId, callee: ProcId) {
-        let args = self.gen_actuals(b, p, callee);
+    /// Emits a call from `p`; `scalars` must be `p`'s visible scalars.
+    fn emit_call(&mut self, b: &mut ProgramBuilder, p: ProcId, callee: ProcId, scalars: &[VarId]) {
+        let args = self.gen_actuals(b, p, callee, scalars);
         let call = b.call_stmt(p, callee, args);
         self.call_edges.push((p, callee));
-        let scalars = self.visible_scalars(b, p);
         if self.rng.gen_bool(self.config.control_flow_prob) && !scalars.is_empty() {
             let cond = Expr::binary(
                 BinOp::Lt,
-                self.gen_expr(&scalars),
+                self.gen_expr(scalars),
                 Expr::constant(self.rng.gen_range(0..100)),
             );
             let wrapped = if self.rng.gen_bool(0.5) {
@@ -171,10 +173,15 @@ impl Gen<'_> {
         }
     }
 
-    fn gen_actuals(&mut self, b: &ProgramBuilder, p: ProcId, callee: ProcId) -> Vec<Actual> {
+    fn gen_actuals(
+        &mut self,
+        b: &ProgramBuilder,
+        p: ProcId,
+        callee: ProcId,
+        scalars: &[VarId],
+    ) -> Vec<Actual> {
         let cfg = self.config;
         let callee_formals = formals_with_rank(b, callee);
-        let scalars = self.visible_scalars(b, p);
         let context_formals = self.context_scalar_formals(b, p);
         callee_formals
             .iter()
@@ -189,14 +196,14 @@ impl Gen<'_> {
                     }
                     if let Some(&(big, 2)) = self.global_arrays.iter().find(|&&(_, r)| r == 2) {
                         if rank == 1 {
-                            let sub = self.gen_subscript(&scalars);
+                            let sub = self.gen_subscript(scalars);
                             return Actual::Ref(Ref::indexed(big, [sub, Subscript::All]));
                         }
                     }
                     return Actual::Value(Expr::constant(0));
                 }
                 if self.rng.gen_bool(cfg.value_actual_prob) || scalars.is_empty() {
-                    return Actual::Value(self.gen_expr(&scalars));
+                    return Actual::Value(self.gen_expr(scalars));
                 }
                 if !context_formals.is_empty() && self.rng.gen_bool(cfg.formal_actual_bias) {
                     let f = context_formals[self.rng.gen_range(0..context_formals.len())];
@@ -235,7 +242,8 @@ impl Gen<'_> {
                 continue;
             }
             let parent = parent_of(b, p);
-            self.emit_call(b, parent, p);
+            let scalars = self.visible_scalars(b, parent);
+            self.emit_call(b, parent, p, &scalars);
             adj[parent.index()].push(p.index());
             // Propagate the newly reachable region.
             reach[p.index()] = true;
@@ -322,21 +330,25 @@ impl Gen<'_> {
 
     /// Procedures callable from `p` (children, ancestors, and children of
     /// ancestors), excluding main.
+    /// Linear in the candidates: a mark per procedure dedups in first-seen
+    /// order.
     fn visible_callees(&self, b: &ProgramBuilder, p: ProcId) -> Vec<ProcId> {
         let mut out: Vec<ProcId> = Vec::new();
-        let push = |q: ProcId, out: &mut Vec<ProcId>| {
-            if q != ProcId::MAIN && !out.contains(&q) {
+        let mut seen = vec![false; self.procs.len() + 1];
+        seen[ProcId::MAIN.index()] = true;
+        let mut push = |q: ProcId| {
+            if !std::mem::replace(&mut seen[q.index()], true) {
                 out.push(q);
             }
         };
         for &c in children_of(b, p) {
-            push(c, &mut out);
+            push(c);
         }
         let mut cursor = parent_opt(b, p);
         while let Some(a) = cursor {
-            push(a, &mut out);
+            push(a);
             for &c in children_of(b, a) {
-                push(c, &mut out);
+                push(c);
             }
             cursor = parent_opt(b, a);
         }

@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 
 use modref_graph::{tarjan, DiGraph};
-use modref_guard::{Guard, Interrupt, Strided};
+use modref_guard::{Guard, Interrupt, SolveCtx, Strided};
 use modref_ir::{Actual, CallSiteId, Expr, ProcId, Program, Ref, Stmt, Subscript, VarId, VarKind};
 
 use crate::bindfn::EdgeFn;
@@ -91,40 +91,30 @@ impl SectionSummary {
 /// Runs the full section analysis (both solvers, `MOD` and `USE` sides,
 /// and the per-site projection).
 pub fn analyze_sections(program: &Program) -> SectionSummary {
-    analyze_sections_guarded(program, &Guard::unlimited())
-        .expect("an unlimited guard cannot interrupt the solver")
+    SolveCtx::unlimited(|ctx| analyze_sections_with(ctx, program))
 }
 
-/// [`analyze_sections`] under a cooperative [`Guard`]: the guard is polled
-/// at every stage boundary and on inner-loop strides, with lattice meets
-/// charged as bit-vector steps (a meet is a whole-descriptor operation,
-/// the §6 cost unit).
+/// [`analyze_sections`] under a [`SolveCtx`].
+///
+/// * **Guard**: polled at every stage boundary and on inner-loop strides,
+///   with lattice meets charged as bit-vector steps (a meet is a
+///   whole-descriptor operation, the §6 cost unit).
+/// * **Trace**: a `sections` span (annotated with the total meet count)
+///   and one sub-span per solver stage — `sections.local`,
+///   `sections.formals`, `sections.globals`, `sections.sites`. Tracing
+///   only observes.
+///
+/// The stages are sequential; the pool is unused.
 ///
 /// # Errors
 ///
 /// Returns the guard's [`Interrupt`] if a deadline, budget, or
 /// cancellation trips mid-analysis; partial stage results are discarded.
-pub fn analyze_sections_guarded(
+pub fn analyze_sections_with(
+    ctx: &SolveCtx<'_>,
     program: &Program,
-    guard: &Guard,
 ) -> Result<SectionSummary, Interrupt> {
-    analyze_sections_traced(program, guard, &modref_trace::Trace::disabled())
-}
-
-/// [`analyze_sections_guarded`] recording a `sections` span (annotated
-/// with the total meet count) and one sub-span per solver stage —
-/// `sections.local`, `sections.formals`, `sections.globals`,
-/// `sections.sites` — into `trace`. Identical output; tracing only
-/// observes.
-///
-/// # Errors
-///
-/// As for [`analyze_sections_guarded`].
-pub fn analyze_sections_traced(
-    program: &Program,
-    guard: &Guard,
-    trace: &modref_trace::Trace,
-) -> Result<SectionSummary, Interrupt> {
+    let SolveCtx { guard, trace, .. } = *ctx;
     guard.checkpoint("sections")?;
     let mut outer = trace.span("sections");
     let mut meets = 0u64;

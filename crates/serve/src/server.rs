@@ -58,7 +58,7 @@ use modref_incr::{AnyQueryEngine, IncrOutcome, Script};
 use modref_ir::{CallSiteId, ProcId, Program};
 use modref_trace::{escape_json, Trace};
 
-use crate::frame::{read_frame, write_frame, FrameError};
+use crate::frame::{read_frame, write_frame, FrameError, MAX_FRAME_LEN};
 use crate::journal::{self, FsyncPolicy, Journal, JournalRecord};
 use crate::proto::{
     resp_close, resp_edit, resp_error, resp_open, resp_overloaded, resp_query, resp_stats,
@@ -584,6 +584,18 @@ fn handle_frame(shared: &Shared, payload: &[u8]) -> String {
             Ok(pair) => pair,
             Err(panic) => panic_fallback(shared, &env, panic.as_ref()),
         };
+    // A reply too large for one frame (a `query all` report on a big
+    // program) becomes a typed error the client can read; the connection
+    // stays open for the next request.
+    let (reply, status) = if reply.len() > MAX_FRAME_LEN {
+        let message = format!(
+            "reply of {} bytes exceeds the {MAX_FRAME_LEN}-byte frame limit",
+            reply.len()
+        );
+        (resp_error(Some(env.id), &message), Status::Error)
+    } else {
+        (reply, status)
+    };
     span.note("status", status.as_str());
 
     match status {

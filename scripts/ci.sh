@@ -39,6 +39,13 @@ echo "ok"
 echo "== build (release, offline) =="
 cargo build --release --offline
 
+# The end-to-end benchmark (BENCHMARK.json) is a package of its own that
+# reaches the analysis only through the crates' public APIs. Building it
+# here makes a removed or renamed API it calls fail CI, not the next
+# benchmark run.
+echo "== build the benchmark package (release, offline) =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 # The whole suite runs twice: once pinned to one thread and once with a
 # 4-thread pool, so every default-configured Analyzer in every test
 # exercises both the sequential and the parallel pipeline (results must
