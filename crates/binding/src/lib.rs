@@ -50,4 +50,4 @@ mod multigraph;
 mod rmod;
 
 pub use multigraph::{BindingGraph, SizeReport};
-pub use rmod::{solve_rmod, solve_rmod_with, RmodSolution, RmodSolutionIn};
+pub use rmod::{solve_rmod, solve_rmod_with, RmodSolution};

@@ -1,6 +1,6 @@
 //! The Figure 1 `RMOD` solver.
 
-use modref_bitset::{BitSet, EffectSet, OpCounter};
+use modref_bitset::{BitSet, OpCounter};
 use modref_graph::{tarjan, Condensation};
 use modref_guard::{Guard, Interrupt, SolveCtx, Strided};
 use modref_ir::{ProcId, Program, VarId};
@@ -19,25 +19,21 @@ fn settle(guard: &Guard, stats: &OpCounter, last: &mut OpCounter) {
 /// procedure `p`, `RMOD(p)` — the formals of `p` that may be modified by
 /// an invocation of `p` (§3.2).
 #[derive(Debug, Clone)]
-pub struct RmodSolutionIn<S: EffectSet> {
-    rmod: Vec<S>,
-    modified: S,
+pub struct RmodSolution {
+    rmod: Vec<BitSet>,
+    modified: BitSet,
     stats: OpCounter,
 }
 
-/// [`RmodSolutionIn`] over the paper's dense bit vectors — the default
-/// representation of the public API.
-pub type RmodSolution = RmodSolutionIn<BitSet>;
-
-impl<S: EffectSet> RmodSolutionIn<S> {
+impl RmodSolution {
     /// `RMOD(p)` as a set over the program's variable universe; only bits
     /// of `p`'s formals can be set.
-    pub fn rmod(&self, p: ProcId) -> &S {
+    pub fn rmod(&self, p: ProcId) -> &BitSet {
         &self.rmod[p.index()]
     }
 
     /// All `RMOD` sets, indexed by procedure.
-    pub fn rmod_all(&self) -> &[S] {
+    pub fn rmod_all(&self) -> &[BitSet] {
         &self.rmod
     }
 
@@ -53,15 +49,15 @@ impl<S: EffectSet> RmodSolutionIn<S> {
     /// its lattice.
     pub fn conservative(program: &Program) -> Self {
         let nv = program.num_vars();
-        let mut rmod = vec![S::empty(nv); program.num_procs()];
-        let mut modified = S::empty(nv);
+        let mut rmod = vec![BitSet::new(nv); program.num_procs()];
+        let mut modified = BitSet::new(nv);
         for p in program.procs() {
             for &f in program.proc_(p).formals() {
                 rmod[p.index()].insert(f.index());
                 modified.insert(f.index());
             }
         }
-        RmodSolutionIn {
+        RmodSolution {
             rmod,
             modified,
             stats: OpCounter::new(),
@@ -97,11 +93,7 @@ impl<S: EffectSet> RmodSolutionIn<S> {
 /// # Examples
 ///
 /// See the crate-level example in [`crate`].
-pub fn solve_rmod<S: EffectSet>(
-    program: &Program,
-    initial: &[S],
-    beta: &BindingGraph,
-) -> RmodSolutionIn<S> {
+pub fn solve_rmod(program: &Program, initial: &[BitSet], beta: &BindingGraph) -> RmodSolution {
     SolveCtx::unlimited(|ctx| solve_rmod_with(ctx, program, initial, beta))
 }
 
@@ -124,17 +116,17 @@ pub fn solve_rmod<S: EffectSet>(
 /// # Errors
 ///
 /// Returns the guard's [`Interrupt`] on a trip; the partial result is
-/// discarded (the caller substitutes [`RmodSolutionIn::conservative`]).
+/// discarded (the caller substitutes [`RmodSolution::conservative`]).
 ///
 /// # Panics
 ///
 /// Panics if `initial.len() != program.num_procs()`.
-pub fn solve_rmod_with<S: EffectSet>(
+pub fn solve_rmod_with(
     ctx: &SolveCtx<'_>,
     program: &Program,
-    initial: &[S],
+    initial: &[BitSet],
     beta: &BindingGraph,
-) -> Result<RmodSolutionIn<S>, Interrupt> {
+) -> Result<RmodSolution, Interrupt> {
     let SolveCtx { pool, guard, trace } = *ctx;
     assert_eq!(
         initial.len(),
@@ -217,9 +209,9 @@ pub fn solve_rmod_with<S: EffectSet>(
     let mut broadcast_span = trace.span("rmod.broadcast");
     broadcast_span.arg("pooled", u64::from(!pool.is_sequential()));
     let mut rmod;
-    let mut modified = S::empty(program.num_vars());
+    let mut modified = BitSet::new(program.num_vars());
     if pool.is_sequential() {
-        rmod = vec![S::empty(program.num_vars()); program.num_procs()];
+        rmod = vec![BitSet::new(program.num_vars()); program.num_procs()];
         for node in 0..n {
             stride.tick(guard)?;
             stats.bool_steps += 1;
@@ -248,7 +240,7 @@ pub fn solve_rmod_with<S: EffectSet>(
         // occasional direct poll inside the body converts a passed
         // deadline or cancellation into a trip even while every thread is
         // busy in here.
-        let results: Vec<Option<(S, u64)>> = pool.par_map_while(
+        let results: Vec<Option<(BitSet, u64)>> = pool.par_map_while(
             program.num_procs(),
             || !guard.should_stop(),
             |pi| {
@@ -256,7 +248,7 @@ pub fn solve_rmod_with<S: EffectSet>(
                     let _ = guard.check();
                 }
                 let p = ProcId::new(pi);
-                let mut set = S::empty(program.num_vars());
+                let mut set = BitSet::new(program.num_vars());
                 let mut steps = 0u64;
                 for &f in program.proc_(p).formals() {
                     steps += 1;
@@ -288,7 +280,7 @@ pub fn solve_rmod_with<S: EffectSet>(
     broadcast_span.arg("bool_steps", stats.bool_steps - before_broadcast);
     drop(broadcast_span);
 
-    Ok(RmodSolutionIn {
+    Ok(RmodSolution {
         rmod,
         modified,
         stats,

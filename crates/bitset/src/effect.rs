@@ -1,27 +1,14 @@
-//! The [`EffectSet`] abstraction: one trait, two representations.
+//! The [`EffectSet`] trait: the set vocabulary every solver phase uses.
 //!
 //! Every solver in the workspace manipulates *effect sets* — subsets of the
 //! program's variable universe (`MOD`, `USE`, `GMOD`, …). The paper states
-//! its complexity bounds in whole-vector *bit-vector steps*, which are
-//! representation-independent: a solver charges one step per abstract
-//! set-op regardless of how the set is stored. This module captures that
-//! contract as a trait so the solver stack can be instantiated with either
-//!
-//! * [`BitSet`] — the paper's dense "exceedingly long bit vectors" (§4), or
-//! * [`HybridSet`](crate::HybridSet) — an inline-word + spilled-sorted-list
-//!   representation that transparently promotes to dense past a density
-//!   threshold, cutting memory traffic on the sparse rows that dominate
-//!   real call graphs.
-//!
-//! Two sets of the same representation and domain are equal iff they hold
-//! the same elements; iteration is always ascending. Solvers therefore
-//! produce **bit-identical** results under either representation — a claim
-//! enforced by the representation-differential test wall
-//! (`crates/bitset/tests/repr_equiv.rs`, `crates/core/tests/exhaustive.rs`).
+//! its complexity bounds in whole-vector *bit-vector steps* over the dense
+//! "exceedingly long bit vectors" of §4, which [`BitSet`] implements. The
+//! trait names that operation set once and adds the `*_counted` variants
+//! that charge the cost model one step per whole-vector operation.
 
 use std::fmt;
 use std::hash::Hash;
-use std::str::FromStr;
 
 use crate::{BitSet, OpCounter};
 
@@ -59,22 +46,15 @@ impl std::error::Error for DomainMismatch {}
 ///
 /// * Binary operations require both operands to share one domain. This is
 ///   debug-asserted; in release builds a mismatch yields an unspecified
-///   (but memory-safe) result. Use the `try_*` inherent methods on the
-///   concrete types where a typed [`DomainMismatch`] error is needed.
-/// * `Eq`/`Hash` are canonical over `(domain, elements)` — two sets of the
-///   same type compare equal iff they contain the same elements, whatever
-///   internal representation state they are in.
+///   (but memory-safe) result. Use the `try_*` inherent methods on
+///   [`BitSet`] where a typed [`DomainMismatch`] error is needed.
+/// * `Eq`/`Hash` are canonical over `(domain, elements)`.
 /// * [`iter`](EffectSet::iter) yields elements in ascending order.
 /// * The `*_counted` variants charge the paper's cost model exactly one
-///   `bitvec_steps` per whole-vector operation, independent of
-///   representation, so `--metrics` output is identical across
-///   representations.
+///   `bitvec_steps` per whole-vector operation.
 pub trait EffectSet:
     Clone + PartialEq + Eq + Hash + fmt::Debug + Default + Send + Sync + 'static
 {
-    /// Human-readable representation name (`"dense"`, `"hybrid"`).
-    const REPR_NAME: &'static str;
-
     /// Ascending iterator over the elements.
     type ElemIter<'a>: Iterator<Item = usize> + 'a
     where
@@ -139,25 +119,9 @@ pub trait EffectSet:
     /// Iterates over the elements in ascending order.
     fn iter(&self) -> Self::ElemIter<'_>;
 
-    /// Builds a set of this representation from a dense one.
-    fn from_dense(set: &BitSet) -> Self;
-
-    /// Builds a set of this representation from a dense one, consuming it.
-    ///
-    /// For `BitSet` this is the identity move, which keeps the dense
-    /// pipeline path allocation-free at representation boundaries.
-    fn from_dense_owned(set: BitSet) -> Self;
-
-    /// Converts to the dense representation.
-    fn to_dense(&self) -> BitSet;
-
-    /// Converts to the dense representation, consuming `self`.
-    ///
-    /// For `BitSet` this is the identity move.
-    fn into_dense(self) -> BitSet;
-
     /// Bytes of heap storage currently owned by this set (excluding the
-    /// inline struct itself). Feeds the `BENCH_setrepr` memory columns.
+    /// inline struct itself). Feeds the benchmark's `bitset.answer_bytes`
+    /// layer metric.
     fn heap_bytes(&self) -> usize;
 
     /// Builds a set from an iterator of elements.
@@ -215,8 +179,6 @@ pub trait EffectSet:
 }
 
 impl EffectSet for BitSet {
-    const REPR_NAME: &'static str = "dense";
-
     type ElemIter<'a> = crate::Iter<'a>;
 
     fn empty(domain: usize) -> Self {
@@ -287,128 +249,14 @@ impl EffectSet for BitSet {
         BitSet::iter(self)
     }
 
-    fn from_dense(set: &BitSet) -> Self {
-        set.clone()
-    }
-
-    fn from_dense_owned(set: BitSet) -> Self {
-        set
-    }
-
-    fn to_dense(&self) -> BitSet {
-        self.clone()
-    }
-
-    fn into_dense(self) -> BitSet {
-        self
-    }
-
     fn heap_bytes(&self) -> usize {
         self.as_words().len() * std::mem::size_of::<u64>()
-    }
-}
-
-/// The set representation an [`Analyzer`](https://docs.rs/modref-core)
-/// run should use, selected via the `--set-repr` CLI flag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SetRepr {
-    /// The paper's dense bit vectors (the default; byte-identical to all
-    /// historical output).
-    #[default]
-    Dense,
-    /// The inline-word/spilled hybrid representation everywhere.
-    Hybrid,
-    /// Choose per-analysis by universe size (and an optional expected-
-    /// cardinality hint): hybrid for large sparse universes, dense
-    /// otherwise.
-    Auto,
-}
-
-/// Universe size at or below which [`SetRepr::Auto`] always picks dense:
-/// at 1988-paper scales a dense row is a handful of words and the hybrid
-/// bookkeeping cannot win.
-pub const AUTO_DENSE_DOMAIN: usize = 1024;
-
-/// With a cardinality hint, `Auto` picks hybrid only when the expected
-/// per-row cardinality keeps rows in the *small* (unpromoted) form even
-/// if every element lands past the inline word — that is, at most
-/// [`SPILL_MAX`](crate::SPILL_MAX) elements. The `BENCH_setrepr` density
-/// sweep is the evidence: once rows promote, the hybrid form pays the
-/// dense cost plus dispatch overhead and wins nothing.
-pub const AUTO_SMALL_LEN: usize = crate::hybrid::SPILL_MAX;
-
-impl SetRepr {
-    /// Resolves the knob against a concrete universe: returns `true` when
-    /// the hybrid representation should be used.
-    ///
-    /// `expected_len` is an optional sparsity hint (e.g. a bench's target
-    /// row density); without one, `Auto` assumes large universes are
-    /// sparse, which is what real call graphs look like (ROADMAP item 5).
-    pub fn use_hybrid(self, domain: usize, expected_len: Option<usize>) -> bool {
-        match self {
-            SetRepr::Dense => false,
-            SetRepr::Hybrid => true,
-            SetRepr::Auto => {
-                domain > AUTO_DENSE_DOMAIN
-                    && expected_len.is_none_or(|l| l <= AUTO_SMALL_LEN)
-            }
-        }
-    }
-
-    /// The canonical CLI spelling of this variant.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SetRepr::Dense => "dense",
-            SetRepr::Hybrid => "hybrid",
-            SetRepr::Auto => "auto",
-        }
-    }
-}
-
-impl fmt::Display for SetRepr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl FromStr for SetRepr {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "dense" => Ok(SetRepr::Dense),
-            "hybrid" => Ok(SetRepr::Hybrid),
-            "auto" => Ok(SetRepr::Auto),
-            other => Err(format!(
-                "unknown set representation `{other}` (expected dense|hybrid|auto)"
-            )),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn set_repr_round_trips() {
-        for repr in [SetRepr::Dense, SetRepr::Hybrid, SetRepr::Auto] {
-            assert_eq!(repr.as_str().parse::<SetRepr>(), Ok(repr));
-        }
-        assert!("sparse".parse::<SetRepr>().is_err());
-        assert_eq!(SetRepr::default(), SetRepr::Dense);
-    }
-
-    #[test]
-    fn auto_resolution() {
-        assert!(!SetRepr::Auto.use_hybrid(100, None));
-        assert!(!SetRepr::Auto.use_hybrid(AUTO_DENSE_DOMAIN, None));
-        assert!(SetRepr::Auto.use_hybrid(AUTO_DENSE_DOMAIN + 1, None));
-        assert!(SetRepr::Auto.use_hybrid(10_000, Some(10)));
-        assert!(!SetRepr::Auto.use_hybrid(10_000, Some(5_000)));
-        assert!(!SetRepr::Dense.use_hybrid(1 << 20, Some(0)));
-        assert!(SetRepr::Hybrid.use_hybrid(8, Some(8)));
-    }
 
     #[test]
     fn domain_mismatch_display() {
@@ -419,13 +267,11 @@ mod tests {
     #[test]
     fn dense_effect_set_round_trip() {
         let mut s = <BitSet as EffectSet>::empty(130);
-        assert_eq!(<BitSet as EffectSet>::REPR_NAME, "dense");
         EffectSet::insert(&mut s, 5);
         EffectSet::insert(&mut s, 129);
-        let d = EffectSet::to_dense(&s);
+        let d = <BitSet as EffectSet>::from_elems(130, [129, 5]);
         assert_eq!(d, s);
-        assert_eq!(EffectSet::into_dense(s.clone()), d);
-        assert_eq!(<BitSet as EffectSet>::from_dense(&d), d);
+        assert_eq!(EffectSet::iter(&d).collect::<Vec<_>>(), vec![5, 129]);
         assert_eq!(EffectSet::heap_bytes(&d), 3 * 8);
         let full = <BitSet as EffectSet>::full(70);
         assert_eq!(EffectSet::len(&full), 70);

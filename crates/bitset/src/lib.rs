@@ -5,7 +5,7 @@
 //! The algorithms of Cooper & Kennedy (PLDI 1988) state their complexity in
 //! *bit-vector steps*: whole-vector boolean operations over a universe of
 //! variables that, for interprocedural problems, grows linearly with program
-//! size (§1 of the paper). This crate provides the two representations every
+//! size (§1 of the paper). This crate provides the two set types every
 //! solver in the workspace uses:
 //!
 //! * [`BitSet`] — a fixed-universe dense set of `usize` elements.
@@ -16,14 +16,9 @@
 //! Both types are plain data: no interior mutability, `Clone`/`Eq`, and
 //! deterministic iteration in ascending element order.
 //!
-//! Since the solvers charge their cost model in representation-independent
-//! whole-vector steps, the *representation* is swappable: the [`EffectSet`]
-//! trait abstracts the set operations every solver phase uses, with two
-//! implementations — dense [`BitSet`] and the sparse-friendly
-//! [`HybridSet`] (inline word + sorted spill, promoting to dense past a
-//! density threshold). [`SetMatrix`] is generic over it, and [`SetRepr`]
-//! is the user-facing knob (`--set-repr dense|hybrid|auto`). See
-//! `docs/SETREPR.md`.
+//! The [`EffectSet`] trait names the set operations every solver phase
+//! uses, including the `*_counted` forms that charge the paper's cost
+//! model; [`BitSet`] is its implementation.
 //!
 //! # Examples
 //!
@@ -44,15 +39,11 @@
 mod bitset;
 mod counter;
 mod effect;
-mod hybrid;
 mod matrix;
 
 pub use bitset::{BitSet, Iter};
 pub use counter::OpCounter;
-pub use effect::{
-    DomainMismatch, EffectSet, SetRepr, AUTO_DENSE_DOMAIN, AUTO_SMALL_LEN,
-};
-pub use hybrid::{HybridIter, HybridSet, DENSITY_DIV, INLINE_BITS, SPILL_MAX};
+pub use effect::{DomainMismatch, EffectSet};
 pub use matrix::SetMatrix;
 
 /// Number of bits per storage word.

@@ -1,22 +1,20 @@
-//! The [`SetMatrix`]: many [`EffectSet`] rows over one shared universe.
+//! The [`SetMatrix`]: many [`BitSet`] rows over one shared universe.
 //!
 //! One row per procedure, with the split-row primitives equation (4) of
-//! Cooper–Kennedy 1988 needs (`GMOD[p] ∪= GMOD[q] ∖ LOCAL[q]`). With
-//! `S = BitSet` each row is a dense bit vector; with `S = HybridSet`
-//! sparse rows stay one word plus a small spill until they promote.
+//! Cooper–Kennedy 1988 needs (`GMOD[p] ∪= GMOD[q] ∖ LOCAL[q]`).
 
 use std::fmt;
 
-use crate::EffectSet;
+use crate::{BitSet, Iter};
 
-/// A rectangular matrix of [`EffectSet`] rows over the universe `0..cols`.
+/// A rectangular matrix of [`BitSet`] rows over the universe `0..cols`.
 ///
 /// # Examples
 ///
 /// ```
 /// use modref_bitset::{BitSet, SetMatrix};
 ///
-/// let mut m: SetMatrix<BitSet> = SetMatrix::new(3, 10);
+/// let mut m: SetMatrix = SetMatrix::new(3, 10);
 /// m.insert(0, 4);
 /// m.insert(1, 7);
 /// m.or_rows(0, 1); // row0 ∪= row1
@@ -24,17 +22,17 @@ use crate::EffectSet;
 /// assert!(!m.contains(1, 4));
 /// ```
 #[derive(Clone, PartialEq, Eq)]
-pub struct SetMatrix<S: EffectSet> {
+pub struct SetMatrix {
     cols: usize,
-    rows: Vec<S>,
+    rows: Vec<BitSet>,
 }
 
-impl<S: EffectSet> SetMatrix<S> {
+impl SetMatrix {
     /// Creates an all-empty matrix with `rows` rows over universe `0..cols`.
     pub fn new(rows: usize, cols: usize) -> Self {
         SetMatrix {
             cols,
-            rows: (0..rows).map(|_| S::empty(cols)).collect(),
+            rows: vec![BitSet::new(cols); rows],
         }
     }
 
@@ -102,14 +100,14 @@ impl<S: EffectSet> SetMatrix<S> {
     /// use modref_bitset::{BitSet, SetMatrix};
     ///
     /// let (p, q) = (0, 1);
-    /// let mut gmod: SetMatrix<BitSet> = SetMatrix::new(2, 8);
+    /// let mut gmod: SetMatrix = SetMatrix::new(2, 8);
     /// gmod.insert(q, 3); // a global q writes
     /// gmod.insert(q, 5); // a local of q
     /// let local_q = BitSet::from_iter_with_domain(8, [5]);
     /// assert!(gmod.or_rows_minus(p, q, &local_q));
     /// assert_eq!(gmod.row_iter(p).collect::<Vec<_>>(), vec![3]);
     /// ```
-    pub fn or_rows_minus(&mut self, dst: usize, src: usize, mask: &S) -> bool {
+    pub fn or_rows_minus(&mut self, dst: usize, src: usize, mask: &BitSet) -> bool {
         if dst == src {
             self.check_row(dst);
             return false;
@@ -119,7 +117,7 @@ impl<S: EffectSet> SetMatrix<S> {
     }
 
     /// `row[dst] ∪= row[src] ∩ mask`; returns `true` if `dst` changed.
-    pub fn or_rows_masked(&mut self, dst: usize, src: usize, mask: &S) -> bool {
+    pub fn or_rows_masked(&mut self, dst: usize, src: usize, mask: &BitSet) -> bool {
         if dst == src {
             self.check_row(dst);
             return false;
@@ -129,17 +127,17 @@ impl<S: EffectSet> SetMatrix<S> {
     }
 
     /// `row[dst] ∪= set`; returns `true` if the row changed.
-    pub fn or_row_with_set(&mut self, dst: usize, set: &S) -> bool {
+    pub fn or_row_with_set(&mut self, dst: usize, set: &BitSet) -> bool {
         self.rows[dst].union_with(set)
     }
 
     /// Shared view of row `row`.
-    pub fn row(&self, row: usize) -> &S {
+    pub fn row(&self, row: usize) -> &BitSet {
         &self.rows[row]
     }
 
     /// Copies row `src` into a fresh set.
-    pub fn row_to_set(&self, src: usize) -> S {
+    pub fn row_to_set(&self, src: usize) -> BitSet {
         self.rows[src].clone()
     }
 
@@ -148,18 +146,18 @@ impl<S: EffectSet> SetMatrix<S> {
     /// # Panics
     ///
     /// Panics if `dst` is out of range or `set.domain() != self.cols()`.
-    pub fn set_row(&mut self, dst: usize, set: &S) {
+    pub fn set_row(&mut self, dst: usize, set: &BitSet) {
         assert_eq!(set.domain(), self.cols, "set domain mismatch");
         self.rows[dst] = set.clone();
     }
 
     /// Consumes the matrix, yielding its rows.
-    pub fn into_rows(self) -> Vec<S> {
+    pub fn into_rows(self) -> Vec<BitSet> {
         self.rows
     }
 
     /// Iterates over the set columns of row `row`, ascending.
-    pub fn row_iter(&self, row: usize) -> S::ElemIter<'_> {
+    pub fn row_iter(&self, row: usize) -> Iter<'_> {
         self.rows[row].iter()
     }
 
@@ -173,11 +171,6 @@ impl<S: EffectSet> SetMatrix<S> {
         self.rows[a] == self.rows[b]
     }
 
-    /// Total heap bytes across all rows (for the bench memory columns).
-    pub fn heap_bytes(&self) -> usize {
-        self.rows.iter().map(|r| r.heap_bytes()).sum()
-    }
-
     fn check_row(&self, row: usize) {
         assert!(
             row < self.rows.len(),
@@ -187,7 +180,7 @@ impl<S: EffectSet> SetMatrix<S> {
     }
 
     /// Splits the storage into one mutable and one shared row.
-    fn two_rows(&mut self, dst: usize, src: usize) -> (&mut S, &S) {
+    fn two_rows(&mut self, dst: usize, src: usize) -> (&mut BitSet, &BitSet) {
         debug_assert_ne!(dst, src);
         if dst < src {
             let (lo, hi) = self.rows.split_at_mut(src);
@@ -199,7 +192,7 @@ impl<S: EffectSet> SetMatrix<S> {
     }
 }
 
-impl<S: EffectSet> fmt::Debug for SetMatrix<S> {
+impl fmt::Debug for SetMatrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut dbg = f.debug_map();
         for (r, row) in self.rows.iter().enumerate() {
@@ -212,10 +205,11 @@ impl<S: EffectSet> fmt::Debug for SetMatrix<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BitSet, HybridSet};
+    use crate::BitSet;
 
-    fn exercise<S: EffectSet>() {
-        let mut m: SetMatrix<S> = SetMatrix::new(3, 100);
+    #[test]
+    fn dense_rows() {
+        let mut m = SetMatrix::new(3, 100);
         assert!(m.insert(0, 1));
         assert!(!m.insert(0, 1));
         assert!(m.remove(0, 1));
@@ -226,13 +220,13 @@ mod tests {
         assert!(m.or_rows(0, 2));
         assert!(m.contains(0, 69));
         assert!(!m.or_rows(0, 0));
-        let local = S::from_elems(100, [69usize]);
+        let local = BitSet::from_iter_with_domain(100, [69]);
         assert!(m.or_rows_minus(1, 0, &local));
         assert!(m.contains(1, 1) && !m.contains(1, 69));
         assert!(m.or_rows_masked(1, 0, &local));
         assert!(m.contains(1, 69));
         assert_eq!(m.row_len(1), 2);
-        let s = S::from_elems(100, [0usize, 63, 64, 99]);
+        let s = BitSet::from_iter_with_domain(100, [0, 63, 64, 99]);
         m.set_row(2, &s);
         assert_eq!(m.row_to_set(2), s);
         assert_eq!(m.row_iter(2).collect::<Vec<_>>(), vec![0, 63, 64, 99]);
@@ -243,18 +237,8 @@ mod tests {
     }
 
     #[test]
-    fn dense_rows() {
-        exercise::<BitSet>();
-    }
-
-    #[test]
-    fn hybrid_rows() {
-        exercise::<HybridSet>();
-    }
-
-    #[test]
     fn insert_contains_remove() {
-        let mut m: SetMatrix<BitSet> = SetMatrix::new(4, 130);
+        let mut m: SetMatrix = SetMatrix::new(4, 130);
         assert!(m.insert(2, 129));
         assert!(!m.insert(2, 129));
         assert!(m.contains(2, 129));
@@ -265,7 +249,7 @@ mod tests {
 
     #[test]
     fn or_rows_self_is_noop() {
-        let mut m: SetMatrix<BitSet> = SetMatrix::new(2, 64);
+        let mut m: SetMatrix = SetMatrix::new(2, 64);
         m.insert(1, 5);
         assert!(!m.or_rows(1, 1));
         assert!(m.contains(1, 5));
@@ -273,7 +257,7 @@ mod tests {
 
     #[test]
     fn or_rows_minus_applies_mask() {
-        let mut m: SetMatrix<BitSet> = SetMatrix::new(2, 100);
+        let mut m: SetMatrix = SetMatrix::new(2, 100);
         m.insert(1, 10);
         m.insert(1, 20);
         let local = BitSet::from_iter_with_domain(100, [20]);
@@ -284,7 +268,7 @@ mod tests {
 
     #[test]
     fn or_rows_masked_applies_mask() {
-        let mut m: SetMatrix<BitSet> = SetMatrix::new(2, 100);
+        let mut m: SetMatrix = SetMatrix::new(2, 100);
         m.insert(1, 10);
         m.insert(1, 20);
         let mask = BitSet::from_iter_with_domain(100, [20]);
@@ -295,7 +279,7 @@ mod tests {
 
     #[test]
     fn row_set_round_trip() {
-        let mut m: SetMatrix<BitSet> = SetMatrix::new(2, 90);
+        let mut m: SetMatrix = SetMatrix::new(2, 90);
         let s = BitSet::from_iter_with_domain(90, [0, 63, 64, 89]);
         m.set_row(1, &s);
         assert_eq!(m.row_to_set(1), s);
@@ -311,7 +295,7 @@ mod tests {
     fn or_rows_both_orders() {
         // `dst` below and above `src` take the two halves of the row
         // split.
-        let mut m: SetMatrix<BitSet> = SetMatrix::new(3, 70);
+        let mut m: SetMatrix = SetMatrix::new(3, 70);
         m.insert(0, 1);
         m.insert(2, 69);
         assert!(m.or_rows(0, 2));
@@ -323,7 +307,7 @@ mod tests {
 
     #[test]
     fn zero_column_matrix() {
-        let mut m: SetMatrix<BitSet> = SetMatrix::new(3, 0);
+        let mut m: SetMatrix = SetMatrix::new(3, 0);
         assert!(!m.or_rows(0, 1));
         assert_eq!(m.row_len(2), 0);
     }
@@ -331,13 +315,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn bad_row_panics() {
-        SetMatrix::<BitSet>::new(2, 8).insert(5, 0);
+        SetMatrix::new(2, 8).insert(5, 0);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn self_or_checks_bounds() {
-        let mut m: SetMatrix<BitSet> = SetMatrix::new(2, 8);
+        let mut m: SetMatrix = SetMatrix::new(2, 8);
         m.or_rows(5, 5);
     }
 }

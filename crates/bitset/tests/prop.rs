@@ -1,4 +1,4 @@
-//! Property-based tests: `BitSet`/`SetMatrix<BitSet>` against a `BTreeSet` model.
+//! Property-based tests: `BitSet`/`SetMatrix` against a `BTreeSet` model.
 
 use std::collections::BTreeSet;
 
@@ -66,7 +66,7 @@ property! {
     }
 
     fn matrix_or_rows_matches_sets(a in elems(), b in elems(), mask in elems()) {
-        let mut m: SetMatrix<BitSet> = SetMatrix::new(2, DOMAIN);
+        let mut m: SetMatrix = SetMatrix::new(2, DOMAIN);
         m.set_row(0, &build(&a));
         m.set_row(1, &build(&b));
         let mask_set = build(&mask);

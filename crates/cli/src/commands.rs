@@ -7,11 +7,11 @@ use std::time::Duration;
 use modref_binding::BindingGraph;
 use modref_bitset::BitSet;
 use modref_core::trace::{parse_json, Json};
-use modref_core::{AnalysisOutcome, Analyzer, Budget, FaultPlan, Guard, SetRepr, Trace};
+use modref_core::{AnalysisOutcome, Analyzer, Budget, FaultPlan, Guard, Trace};
 use modref_incr::render::{
     render_json, render_json_proc, render_json_site_answer, render_text, set_names, SiteSets,
 };
-use modref_incr::{AnyQueryEngine, IncrOutcome, IncrementalExt, Script};
+use modref_incr::{IncrOutcome, IncrementalExt, QueryEngine, Script};
 use modref_ir::{CallGraph, CallSiteId, Program, VarId};
 use modref_sections::analyze_sections;
 
@@ -44,7 +44,6 @@ pub fn run(cmd: &Command) -> Result<RunStatus, Box<dyn Error>> {
             metrics,
             edits,
             query,
-            set_repr,
         } => analyze(
             file,
             *no_use,
@@ -59,7 +58,6 @@ pub fn run(cmd: &Command) -> Result<RunStatus, Box<dyn Error>> {
             *metrics,
             edits.as_deref(),
             query.as_ref(),
-            *set_repr,
         ),
         Command::Summary { file } => summary(file).map(|()| RunStatus::Clean),
         Command::Sections { file } => sections(file).map(|()| RunStatus::Clean),
@@ -80,7 +78,6 @@ pub fn run(cmd: &Command) -> Result<RunStatus, Box<dyn Error>> {
             no_evict,
             fsync,
             max_conns,
-            set_repr,
         } => serve(
             addr,
             *max_sessions,
@@ -91,7 +88,6 @@ pub fn run(cmd: &Command) -> Result<RunStatus, Box<dyn Error>> {
             *no_evict,
             fsync,
             *max_conns,
-            *set_repr,
         )
         .map(|()| RunStatus::Clean),
         Command::Client {
@@ -148,7 +144,6 @@ fn serve(
     no_evict: bool,
     fsync: &str,
     max_conns: usize,
-    set_repr: SetRepr,
 ) -> Result<(), Box<dyn Error>> {
     let addr = parse_addr(addr)?;
     let cfg = modref_serve::ServerConfig {
@@ -164,7 +159,6 @@ fn serve(
         faults: FaultPlan::from_env(),
         fault_session: None,
         trace: Trace::disabled(),
-        set_repr,
     };
     let server = modref_serve::Server::bind(addr, cfg)
         .map_err(|e| format!("cannot bind `{addr}`: {e}"))?;
@@ -275,7 +269,6 @@ fn analyze(
     metrics: bool,
     edits: Option<&str>,
     query: Option<&QuerySpec>,
-    set_repr: SetRepr,
 ) -> Result<RunStatus, Box<dyn Error>> {
     let trace = if trace_out.is_some() || metrics {
         Trace::enabled()
@@ -287,48 +280,29 @@ fn analyze(
 
     if let Some(spec) = query {
         return analyze_query(
-            program, spec, edits, json, threads, timeout_ms, budget_ops, trace_out, metrics,
-            &trace, set_repr,
+            program, spec, edits, json, threads, timeout_ms, budget_ops, trace_out, metrics, &trace,
         );
     }
 
     if let Some(script_path) = edits {
-        return if set_repr.use_hybrid(program.num_vars(), None) {
-            analyze_edits_in::<modref_core::HybridSet>(
-                file,
-                program,
-                script_path,
-                no_use,
-                no_alias,
-                json,
-                threads,
-                timeout_ms,
-                budget_ops,
-                trace_out,
-                metrics,
-                &trace,
-            )
-        } else {
-            analyze_edits_in::<modref_core::BitSet>(
-                file,
-                program,
-                script_path,
-                no_use,
-                no_alias,
-                json,
-                threads,
-                timeout_ms,
-                budget_ops,
-                trace_out,
-                metrics,
-                &trace,
-            )
-        };
+        return analyze_edits(
+            file,
+            program,
+            script_path,
+            no_use,
+            no_alias,
+            json,
+            threads,
+            timeout_ms,
+            budget_ops,
+            trace_out,
+            metrics,
+            &trace,
+        );
     }
 
     let mut analyzer = Analyzer::new();
     analyzer.with_trace(trace.clone());
-    analyzer.set_repr(set_repr);
     if no_use {
         analyzer.without_use();
     }
@@ -416,9 +390,8 @@ fn analyze_query(
     trace_out: Option<&str>,
     metrics: bool,
     trace: &Trace,
-    set_repr: SetRepr,
 ) -> Result<RunStatus, Box<dyn Error>> {
-    let mut qe = AnyQueryEngine::new_lazy_with(program, threads, trace.clone(), set_repr);
+    let mut qe = QueryEngine::new_lazy_with(program, threads, trace.clone());
     if let Some(script_path) = edits {
         let text = fs::read_to_string(script_path)
             .map_err(|e| format!("cannot read `{script_path}`: {e}"))?;
@@ -507,7 +480,7 @@ fn analyze_query(
 /// final program's sets. Budgets/faults guard every apply; a degraded
 /// apply widens soundly and maps to exit code 3 like the batch path.
 #[allow(clippy::too_many_arguments)]
-fn analyze_edits_in<S: modref_core::EffectSet>(
+fn analyze_edits(
     file: &str,
     program: Program,
     script_path: &str,
@@ -530,7 +503,7 @@ fn analyze_edits_in<S: modref_core::EffectSet>(
     if let Some(t) = threads {
         analyzer.threads(t);
     }
-    let mut engine = analyzer.incremental_in::<S>(program);
+    let mut engine = analyzer.incremental(program);
 
     let guard = guard_from_flags(timeout_ms, budget_ops);
     let mut status = RunStatus::Clean;

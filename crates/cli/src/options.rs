@@ -1,13 +1,12 @@
 //! Hand-rolled argument parsing for the `modref` CLI.
 
-use modref_core::{GmodAlgorithm, SetRepr};
+use modref_core::GmodAlgorithm;
 
 /// Usage text printed on argument errors.
 pub const USAGE: &str = "\
 usage:
   modref analyze  <file.mp> [--no-use] [--no-alias] [--parallel] [--json]
                             [--gmod one|naive|fused|levels] [--threads N]
-                            [--set-repr dense|hybrid|auto]
                             [--timeout-ms N] [--budget-ops N]
                             [--trace <out.json>] [--metrics]
                             [--edits <script>] [--query site:N|proc:NAME]
@@ -19,7 +18,6 @@ usage:
   modref check    <file.mp>
   modref trace-check <trace.json>
   modref serve    --addr <host:port> [--max-sessions N] [--threads N]
-                  [--set-repr dense|hybrid|auto]
                   [--request-budget-ops N] [--request-timeout-ms N]
                   [--state-dir <dir>] [--fsync always|never] [--no-evict]
                   [--max-conns N]
@@ -107,8 +105,6 @@ pub enum Command {
         edits: Option<String>,
         /// Point query: answer for one site/procedure only, lazily.
         query: Option<QuerySpec>,
-        /// Set representation for every solver phase (`--set-repr`).
-        set_repr: SetRepr,
     },
     /// Per-procedure summary table.
     Summary {
@@ -173,8 +169,6 @@ pub enum Command {
         fsync: String,
         /// Cap on concurrent connections before load shedding.
         max_conns: usize,
-        /// Set representation sessions inherit (`--set-repr`).
-        set_repr: SetRepr,
     },
     /// Drive a running daemon from a script.
     Client {
@@ -214,7 +208,6 @@ impl Command {
                 let mut metrics = false;
                 let mut edits = None;
                 let mut query = None;
-                let mut set_repr = SetRepr::Dense;
                 while let Some(a) = it.next() {
                     match a.as_str() {
                         "--no-use" => no_use = true,
@@ -259,10 +252,6 @@ impl Command {
                             trace = Some(v.clone());
                         }
                         "--metrics" => metrics = true,
-                        "--set-repr" => {
-                            let v = it.next().ok_or("--set-repr needs dense|hybrid|auto")?;
-                            set_repr = parse_set_repr(v)?;
-                        }
                         "--edits" => {
                             let v = it.next().ok_or("--edits needs a script path")?;
                             edits = Some(v.clone());
@@ -291,7 +280,6 @@ impl Command {
                     metrics,
                     edits,
                     query,
-                    set_repr,
                 })
             }
             "trace-check" => {
@@ -382,16 +370,11 @@ impl Command {
                 let mut no_evict = false;
                 let mut fsync = "always".to_owned();
                 let mut max_conns = 256usize;
-                let mut set_repr = SetRepr::Dense;
                 while let Some(a) = it.next() {
                     match a.as_str() {
                         "--state-dir" => {
                             let v = it.next().ok_or("--state-dir needs a directory")?;
                             state_dir = Some(v.clone());
-                        }
-                        "--set-repr" => {
-                            let v = it.next().ok_or("--set-repr needs dense|hybrid|auto")?;
-                            set_repr = parse_set_repr(v)?;
                         }
                         "--no-evict" => no_evict = true,
                         "--fsync" => {
@@ -468,7 +451,6 @@ impl Command {
                     no_evict,
                     fsync,
                     max_conns,
-                    set_repr,
                 })
             }
             "client" => {
@@ -515,18 +497,6 @@ impl Command {
     }
 }
 
-/// Parses a `--set-repr` value.
-fn parse_set_repr(v: &str) -> Result<SetRepr, String> {
-    match v {
-        "dense" => Ok(SetRepr::Dense),
-        "hybrid" => Ok(SetRepr::Hybrid),
-        "auto" => Ok(SetRepr::Auto),
-        other => Err(format!(
-            "unknown --set-repr value `{other}` (expected dense, hybrid, or auto)"
-        )),
-    }
-}
-
 fn set_file(slot: &mut Option<String>, path: &str) -> Result<(), String> {
     if slot.is_some() {
         return Err(format!("unexpected extra argument `{path}`"));
@@ -563,7 +533,6 @@ mod tests {
                 metrics: false,
                 edits: None,
                 query: None,
-                set_repr: SetRepr::Dense,
             }
         );
     }
@@ -588,7 +557,6 @@ mod tests {
                 metrics: false,
                 edits: None,
                 query: None,
-                set_repr: SetRepr::Dense,
             }
         );
         assert!(parse(&["analyze", "x.mp", "--threads"])
@@ -597,32 +565,6 @@ mod tests {
         assert!(parse(&["analyze", "x.mp", "--threads", "many"])
             .unwrap_err()
             .contains("bad --threads"));
-    }
-
-    #[test]
-    fn set_repr_flag_parses_and_rejects() {
-        let cmd = parse(&["analyze", "x.mp", "--set-repr", "hybrid"]).expect("parses");
-        assert!(matches!(
-            cmd,
-            Command::Analyze {
-                set_repr: SetRepr::Hybrid,
-                ..
-            }
-        ));
-        let cmd = parse(&["serve", "--addr", "x:1", "--set-repr", "auto"]).expect("parses");
-        assert!(matches!(
-            cmd,
-            Command::Serve {
-                set_repr: SetRepr::Auto,
-                ..
-            }
-        ));
-        assert!(parse(&["analyze", "x.mp", "--set-repr", "bogus"])
-            .unwrap_err()
-            .contains("unknown --set-repr"));
-        assert!(parse(&["analyze", "x.mp", "--set-repr"])
-            .unwrap_err()
-            .contains("--set-repr needs"));
     }
 
     #[test]
@@ -645,7 +587,6 @@ mod tests {
                 metrics: false,
                 edits: None,
                 query: None,
-                set_repr: SetRepr::Dense,
             }
         );
         assert!(parse(&["analyze", "x.mp", "--timeout-ms"])
@@ -782,7 +723,6 @@ mod tests {
                 no_evict: false,
                 fsync: "always".into(),
                 max_conns: 256,
-                set_repr: SetRepr::Dense,
             }
         );
         let cmd = parse(&[
@@ -818,7 +758,6 @@ mod tests {
                 no_evict: true,
                 fsync: "never".into(),
                 max_conns: 32,
-                set_repr: SetRepr::Dense,
             }
         );
         assert!(parse(&["serve"]).unwrap_err().contains("missing --addr"));

@@ -19,7 +19,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use modref_bitset::{BitSet, EffectSet};
+use modref_bitset::BitSet;
 use modref_guard::{Guard, Interrupt, SolveCtx};
 use modref_ir::{Actual, ProcId, Program, VarId};
 
@@ -47,20 +47,14 @@ use modref_ir::{Actual, ProcId, Program, VarId};
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-pub struct AliasPairsIn<S: EffectSet> {
-    /// `partners[p][v]` = the variables `v` may alias inside `p`.
-    partners: Vec<HashMap<VarId, S>>,
-    /// `keys[p]` = the variables with at least one partner in `p` — a
-    /// fast pre-filter for [`AliasPairs::extend_with_aliases`].
-    keys: Vec<S>,
-    num_vars: usize,
+pub struct AliasPairs {
+    /// `partners[p][v]` = the variables `v` may alias inside `p`, in
+    /// ascending order. Rows are sparse: a procedure holds one short list
+    /// per variable that has a partner, not one universe-wide set.
+    partners: Vec<HashMap<VarId, Vec<VarId>>>,
 }
 
-/// [`AliasPairsIn`] over the paper's dense bit vectors — the default
-/// representation of the public API.
-pub type AliasPairs = AliasPairsIn<BitSet>;
-
-impl<S: EffectSet> AliasPairsIn<S> {
+impl AliasPairs {
     /// Computes `ALIAS(p)` for every procedure by worklist iteration over
     /// the call sites. Terminates because pair sets only grow and are
     /// bounded by `|V|²` per procedure (in practice tiny — "programs with
@@ -85,6 +79,24 @@ impl<S: EffectSet> AliasPairsIn<S> {
         let all = vec![true; program.num_procs()];
         result.solve_closure_guarded(program, &all, ctx.guard)?;
         Ok(result)
+    }
+
+    /// The relation the demand engine computes for a caller-closed set of
+    /// procedures: the worklist of [`AliasPairs::compute`] restricted to
+    /// call sites whose callee lies in `in_closure`. When every caller of
+    /// a member is itself a member, `ALIAS(p)` is exact for every member
+    /// `p`; procedures outside the closure hold a subset of their pairs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `in_closure.len() != program.num_procs()`.
+    pub fn compute_closure(program: &Program, in_closure: &[bool]) -> Self {
+        assert_eq!(in_closure.len(), program.num_procs(), "one flag per procedure");
+        let mut result = Self::empty_impl(program);
+        result
+            .solve_closure_guarded(program, in_closure, &Guard::unlimited())
+            .expect("an unlimited guard never trips");
+        result
     }
 
     /// Runs the worklist restricted to call sites whose callee lies in
@@ -170,7 +182,7 @@ impl<S: EffectSet> AliasPairsIn<S> {
             // free variables.
             let inherited: Vec<(VarId, VarId)> = result.partners[caller.index()]
                 .iter()
-                .flat_map(|(&x, set)| set.iter().map(move |y| (x, VarId::new(y))))
+                .flat_map(|(&x, row)| row.iter().map(move |&y| (x, y)))
                 .filter(|&(x, y)| program.visible_in(x, callee) && program.visible_in(y, callee))
                 .collect();
             for (x, y) in inherited {
@@ -197,33 +209,32 @@ impl<S: EffectSet> AliasPairsIn<S> {
     pub fn are_aliased(&self, p: ProcId, a: VarId, b: VarId) -> bool {
         self.partners[p.index()]
             .get(&a)
-            .is_some_and(|set| set.contains(b.index()))
+            .is_some_and(|row| row.binary_search(&b).is_ok())
     }
 
-    /// The alias partners of `v` inside `p`.
+    /// The alias partners of `v` inside `p`, in ascending order.
     pub fn partners_of(&self, p: ProcId, v: VarId) -> impl Iterator<Item = VarId> + '_ {
         self.partners[p.index()]
             .get(&v)
             .into_iter()
-            .flat_map(|set| set.iter().map(VarId::new))
+            .flat_map(|row| row.iter().copied())
     }
 
     /// Number of (unordered) pairs in `ALIAS(p)`.
     pub fn pair_count(&self, p: ProcId) -> usize {
-        let total: usize = self.partners[p.index()].values().map(S::len).sum();
+        let total: usize = self.partners[p.index()].values().map(Vec::len).sum();
         total / 2
     }
 
     /// §5 step (2): extends `set` with every alias partner (in `p`) of its
     /// members. Returns the extended set; linear in `|set| + |ALIAS(p)|`.
-    pub fn extend_with_aliases(&self, p: ProcId, set: &S) -> S {
+    pub fn extend_with_aliases(&self, p: ProcId, set: &BitSet) -> BitSet {
         let mut out = set.clone();
-        // Only variables that actually have partners need the hash lookup.
-        let mut with_partners = set.clone();
-        with_partners.intersect_with(&self.keys[p.index()]);
-        for v in with_partners.iter() {
-            if let Some(partners) = self.partners[p.index()].get(&VarId::new(v)) {
-                out.union_with(partners);
+        for (v, row) in &self.partners[p.index()] {
+            if set.contains(v.index()) {
+                for w in row {
+                    out.insert(w.index());
+                }
             }
         }
         out
@@ -231,24 +242,8 @@ impl<S: EffectSet> AliasPairsIn<S> {
 
     /// An all-empty alias relation (used when alias analysis is disabled).
     pub(crate) fn empty_impl(program: &Program) -> Self {
-        AliasPairsIn {
+        AliasPairs {
             partners: vec![HashMap::new(); program.num_procs()],
-            keys: vec![S::empty(program.num_vars()); program.num_procs()],
-            num_vars: program.num_vars(),
-        }
-    }
-
-    /// Converts every pair set to the dense default representation (a
-    /// field-by-field identity move for the dense instantiation).
-    pub(crate) fn into_dense(self) -> AliasPairs {
-        AliasPairsIn {
-            partners: self
-                .partners
-                .into_iter()
-                .map(|m| m.into_iter().map(|(k, v)| (k, v.into_dense())).collect())
-                .collect(),
-            keys: self.keys.into_iter().map(S::into_dense).collect(),
-            num_vars: self.num_vars,
         }
     }
 
@@ -256,19 +251,21 @@ impl<S: EffectSet> AliasPairsIn<S> {
         if a == b {
             return false;
         }
-        let nv = self.num_vars;
-        self.keys[p.index()].insert(a.index());
-        self.keys[p.index()].insert(b.index());
         let map = &mut self.partners[p.index()];
-        let x = map
-            .entry(a)
-            .or_insert_with(|| S::empty(nv))
-            .insert(b.index());
-        let y = map
-            .entry(b)
-            .or_insert_with(|| S::empty(nv))
-            .insert(a.index());
+        let x = insert_sorted(map.entry(a).or_default(), b);
+        let y = insert_sorted(map.entry(b).or_default(), a);
         x | y
+    }
+}
+
+/// Inserts `v` into the ascending `row`; returns `true` if it was absent.
+fn insert_sorted(row: &mut Vec<VarId>, v: VarId) -> bool {
+    match row.binary_search(&v) {
+        Ok(_) => false,
+        Err(at) => {
+            row.insert(at, v);
+            true
+        }
     }
 }
 

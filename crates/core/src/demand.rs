@@ -53,12 +53,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use modref_binding::BindingGraph;
-use modref_bitset::{BitSet, EffectSet, OpCounter, SetMatrix};
+use modref_bitset::{BitSet, OpCounter, SetMatrix};
 use modref_graph::DiGraph;
 use modref_guard::{Guard, Interrupt, SolveCtx};
 use modref_ir::{flat_effects_of, CallGraph, CallSiteId, ProcId, Program, VarId};
 
-use crate::alias::AliasPairsIn;
+use crate::alias::AliasPairs;
 use crate::dmod::project_site;
 use crate::imod_plus::fold_site;
 
@@ -103,46 +103,42 @@ enum Verdict {
 /// which is how `modref-incr`'s `QueryEngine` invalidates it alongside its
 /// own caches.
 #[derive(Debug, Clone)]
-pub struct DemandMemoIn<S: EffectSet> {
+pub struct DemandMemo {
     num_vars: usize,
     dp: usize,
     call_graph: Option<Arc<CallGraph>>,
     rev_graph: Option<Arc<DiGraph>>,
     beta: Option<Arc<BindingGraph>>,
     /// Per-procedure flat `(IMOD, IUSE)` — no nesting extension.
-    flat: Vec<Option<(S, S)>>,
+    flat: Vec<Option<(BitSet, BitSet)>>,
     /// Per-side, per-procedure §3.3-extended `IMOD`/`IUSE`.
-    ext: [Vec<Option<S>>; 2],
+    ext: [Vec<Option<BitSet>>; 2],
     /// Per-procedure `LOCAL(p)`.
-    locals: Vec<Option<S>>,
+    locals: Vec<Option<BitSet>>,
     /// Per-side, per-β-node reachability verdicts (sized when β is built).
     rmod: [Vec<Verdict>; 2],
     /// Per-side, per-procedure `IMOD⁺`/`IUSE⁺`.
-    plus: [Vec<Option<S>>; 2],
+    plus: [Vec<Option<BitSet>>; 2],
     /// Per-side, per-problem, per-procedure `GMOD` problem rows. With
     /// `dp ≤ 1` only problem 0 (the full multi-graph) exists; nested
     /// programs use problems `1..=dp` (edges into level ≥ i), matching
     /// `solve_gmod_levels_with` exactly.
-    rows: [Vec<Vec<Option<S>>>; 2],
+    rows: [Vec<Vec<Option<BitSet>>>; 2],
     /// Per-side, per-procedure assembled `GMOD`/`GUSE`.
-    total: [Vec<Option<S>>; 2],
-    aliases: AliasPairsIn<S>,
+    total: [Vec<Option<BitSet>>; 2],
+    aliases: AliasPairs,
     /// `true` once a computed closure covered this procedure — its pairs
     /// are final.
     alias_done: Vec<bool>,
 }
 
-/// [`DemandMemoIn`] over the paper's dense bit vectors — the default
-/// representation of the public API.
-pub type DemandMemo = DemandMemoIn<BitSet>;
-
-impl<S: EffectSet> DemandMemoIn<S> {
+impl DemandMemo {
     /// An empty memo for (exactly) this program snapshot.
     pub fn new(program: &Program) -> Self {
         let np = program.num_procs();
         let dp = program.max_level() as usize;
         let nproblems = if dp <= 1 { 1 } else { dp + 1 };
-        DemandMemoIn {
+        DemandMemo {
             num_vars: program.num_vars(),
             dp,
             call_graph: None,
@@ -158,13 +154,13 @@ impl<S: EffectSet> DemandMemoIn<S> {
                 vec![vec![None; np]; nproblems],
             ],
             total: [vec![None; np], vec![None; np]],
-            aliases: AliasPairsIn::empty_impl(program),
+            aliases: AliasPairs::empty_impl(program),
             alias_done: vec![false; np],
         }
     }
 
     /// The memoized `GMOD(p)`/`GUSE(p)`, if a previous query finalised it.
-    pub fn cached_total(&self, side: Side, p: ProcId) -> Option<&S> {
+    pub fn cached_total(&self, side: Side, p: ProcId) -> Option<&BitSet> {
         self.total[side.idx()][p.index()].as_ref()
     }
 }
@@ -232,10 +228,10 @@ pub fn conservative_proc_answer(program: &Program, p: ProcId) -> ProcAnswer {
 /// # Panics
 ///
 /// Panics if `memo` was built from a different program snapshot.
-pub fn query_site_with<S: EffectSet>(
+pub fn query_site_with(
     ctx: &SolveCtx<'_>,
     program: &Program,
-    memo: &mut DemandMemoIn<S>,
+    memo: &mut DemandMemo,
     s: CallSiteId,
 ) -> Result<(SiteAnswer, OpCounter), Interrupt> {
     let SolveCtx { guard, trace, .. } = *ctx;
@@ -271,10 +267,10 @@ pub fn query_site_with<S: EffectSet>(
     span.arg("edges", ops.edges_visited);
     Ok((
         SiteAnswer {
-            mods: mods.into_dense(),
-            uses: uses.into_dense(),
-            dmod: dmod.into_dense(),
-            duse: duse.into_dense(),
+            mods,
+            uses,
+            dmod,
+            duse,
         },
         ops,
     ))
@@ -290,10 +286,10 @@ pub fn query_site_with<S: EffectSet>(
 /// # Panics
 ///
 /// Panics if `memo` was built from a different program snapshot.
-pub fn query_proc_with<S: EffectSet>(
+pub fn query_proc_with(
     ctx: &SolveCtx<'_>,
     program: &Program,
-    memo: &mut DemandMemoIn<S>,
+    memo: &mut DemandMemo,
     p: ProcId,
 ) -> Result<(ProcAnswer, OpCounter), Interrupt> {
     let SolveCtx { guard, trace, .. } = *ctx;
@@ -319,8 +315,8 @@ pub fn query_proc_with<S: EffectSet>(
     span.arg("edges", ops.edges_visited);
     Ok((
         ProcAnswer {
-            gmod: gmod.into_dense(),
-            guse: guse.into_dense(),
+            gmod,
+            guse,
         },
         ops,
     ))
@@ -328,16 +324,16 @@ pub fn query_proc_with<S: EffectSet>(
 
 /// One query's working state: the program snapshot, the shared memo, the
 /// guard, and the operation ledger (charged incrementally via `settle`).
-struct Demand<'a, S: EffectSet> {
+struct Demand<'a> {
     program: &'a Program,
-    memo: &'a mut DemandMemoIn<S>,
+    memo: &'a mut DemandMemo,
     guard: &'a Guard,
     ops: OpCounter,
     charged: OpCounter,
 }
 
-impl<'a, S: EffectSet> Demand<'a, S> {
-    fn new(program: &'a Program, memo: &'a mut DemandMemoIn<S>, guard: &'a Guard) -> Self {
+impl<'a> Demand<'a> {
+    fn new(program: &'a Program, memo: &'a mut DemandMemo, guard: &'a Guard) -> Self {
         Demand {
             program,
             memo,
@@ -385,7 +381,7 @@ impl<'a, S: EffectSet> Demand<'a, S> {
     fn ensure_local(&mut self, p: usize) {
         if self.memo.locals[p].is_none() {
             self.ops.nodes_visited += 1;
-            self.memo.locals[p] = Some(S::from_dense_owned(self.program.local_set(ProcId::new(p))));
+            self.memo.locals[p] = Some(self.program.local_set(ProcId::new(p)));
         }
     }
 
@@ -402,7 +398,7 @@ impl<'a, S: EffectSet> Demand<'a, S> {
         if self.memo.flat[p].is_none() {
             self.ops.nodes_visited += 1;
             let (fm, fu) = flat_effects_of(program, ProcId::new(p));
-            self.memo.flat[p] = Some((S::from_dense_owned(fm), S::from_dense_owned(fu)));
+            self.memo.flat[p] = Some((fm, fu));
         }
         let flat = self.memo.flat[p].as_ref().expect("just filled");
         let mut set = match side {
@@ -683,7 +679,7 @@ impl<'a, S: EffectSet> Demand<'a, S> {
         }
 
         let memo = &*self.memo;
-        let mut bases: Vec<S> = members
+        let mut bases: Vec<BitSet> = members
             .iter()
             .map(|&u| memo.plus[side.idx()][u].clone().expect("just ensured"))
             .collect();
@@ -706,8 +702,8 @@ impl<'a, S: EffectSet> Demand<'a, S> {
         // SCC collapse — the same `T ∩ L = ∅` fast path as
         // `gmod_levels::solve_component`: when no member's locals filter
         // can strip any contribution, the fixpoint is `base(u) ∪ T`.
-        let mut transfer = S::empty(self.memo.num_vars);
-        let mut member_locals = S::empty(self.memo.num_vars);
+        let mut transfer = BitSet::new(self.memo.num_vars);
+        let mut member_locals = BitSet::new(self.memo.num_vars);
         for &u in members {
             let memo = &*self.memo;
             member_locals.union_with(memo.locals[u].as_ref().expect("just ensured"));
@@ -728,7 +724,7 @@ impl<'a, S: EffectSet> Demand<'a, S> {
         self.ops.bool_steps += 1;
         if transfer.is_disjoint(&member_locals) {
             for (k, &u) in members.iter().enumerate() {
-                let mut row = std::mem::replace(&mut bases[k], S::empty(0));
+                let mut row = std::mem::replace(&mut bases[k], BitSet::new(0));
                 row.union_with(&transfer);
                 self.ops.bitvec_steps += 1;
                 self.memo.rows[side.idx()][prob][u] = Some(row);
@@ -736,7 +732,7 @@ impl<'a, S: EffectSet> Demand<'a, S> {
             return self.settle();
         }
 
-        let mut m: SetMatrix<S> = SetMatrix::new(members.len(), self.memo.num_vars);
+        let mut m: SetMatrix = SetMatrix::new(members.len(), self.memo.num_vars);
         for (k, base) in bases.iter().enumerate() {
             m.or_row_with_set(k, base);
         }

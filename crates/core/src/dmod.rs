@@ -7,36 +7,37 @@
 //! return and vanish. For a whole statement `s`,
 //! `DMOD(s) = LMOD(s) ∪ ⋃_{e ∈ s} b_e(GMOD(callee(e)))`.
 
-use modref_bitset::{BitSet, EffectSet, OpCounter};
+use modref_bitset::{BitSet, OpCounter};
 use modref_guard::{Interrupt, SolveCtx};
 use modref_ir::{Actual, CallSiteId, Program, Stmt};
 
 /// Per-call-site direct side-effect sets (`DMOD` or `DUSE`).
 #[derive(Debug, Clone)]
-pub struct DmodSolutionIn<S: EffectSet> {
-    per_site: Vec<S>,
+pub struct DmodSolution {
+    per_site: Vec<BitSet>,
     stats: OpCounter,
 }
 
-/// [`DmodSolutionIn`] over the paper's dense bit vectors — the default
-/// representation of the public API.
-pub type DmodSolution = DmodSolutionIn<BitSet>;
-
-impl<S: EffectSet> DmodSolutionIn<S> {
+impl DmodSolution {
     /// `b_e(GMOD(callee))` for call site `e` — the variables the call may
     /// modify, before alias factoring.
-    pub fn dmod_site(&self, s: CallSiteId) -> &S {
+    pub fn dmod_site(&self, s: CallSiteId) -> &BitSet {
         &self.per_site[s.index()]
     }
 
     /// All per-site sets, indexed by call site.
-    pub fn all(&self) -> &[S] {
+    pub fn all(&self) -> &[BitSet] {
         &self.per_site
     }
 
     /// Work performed (dominated by one bit-set scan per call site).
     pub fn stats(&self) -> OpCounter {
         self.stats
+    }
+
+    /// Consumes the solution, keeping the per-site sets.
+    pub(crate) fn into_sets(self) -> Vec<BitSet> {
+        self.per_site
     }
 }
 
@@ -49,7 +50,7 @@ impl<S: EffectSet> DmodSolutionIn<S> {
 /// # Panics
 ///
 /// Panics if `gmod.len() != program.num_procs()`.
-pub fn compute_dmod<S: EffectSet>(program: &Program, gmod: &[S]) -> DmodSolutionIn<S> {
+pub fn compute_dmod(program: &Program, gmod: &[BitSet]) -> DmodSolution {
     SolveCtx::unlimited(|ctx| compute_dmod_with(ctx, program, gmod))
 }
 
@@ -67,11 +68,11 @@ pub fn compute_dmod<S: EffectSet>(program: &Program, gmod: &[S]) -> DmodSolution
 /// # Panics
 ///
 /// Panics if `gmod.len() != program.num_procs()`.
-pub fn compute_dmod_with<S: EffectSet>(
+pub fn compute_dmod_with(
     ctx: &SolveCtx<'_>,
     program: &Program,
-    gmod: &[S],
-) -> Result<DmodSolutionIn<S>, Interrupt> {
+    gmod: &[BitSet],
+) -> Result<DmodSolution, Interrupt> {
     assert_eq!(gmod.len(), program.num_procs(), "one GMOD per procedure");
     ctx.guard.checkpoint("dmod")?;
     let mut stats = OpCounter::new();
@@ -81,7 +82,7 @@ pub fn compute_dmod_with<S: EffectSet>(
         let callee = program.site(s).callee();
         project_site(program, s, &gmod[callee.index()])
     })?;
-    Ok(DmodSolutionIn { per_site, stats })
+    Ok(DmodSolution { per_site, stats })
 }
 
 /// Maps every call site through `f`, in site order: inline on a
@@ -134,11 +135,11 @@ pub(crate) fn map_sites<T: Send>(
 
 /// `b_e(callee_set)` for one call site: survivors map to themselves,
 /// formals map to their by-reference actuals, callee locals vanish.
-pub fn project_site<S: EffectSet>(program: &Program, s: CallSiteId, callee_set: &S) -> S {
+pub fn project_site(program: &Program, s: CallSiteId, callee_set: &BitSet) -> BitSet {
     let site = program.site(s);
     let callee = site.callee();
-    let mut set = S::empty(program.num_vars());
-    let locals = S::from_dense_owned(program.local_set(callee));
+    let mut set = BitSet::new(program.num_vars());
+    let locals = program.local_set(callee);
     set.union_with_difference(callee_set, &locals);
     for (pos, &f) in program.proc_(callee).formals().iter().enumerate() {
         if callee_set.contains(f.index()) {
@@ -202,12 +203,12 @@ pub fn duse_of_stmt(program: &Program, stmt: &Stmt, duse_sites: &[BitSet]) -> Bi
     set
 }
 
-impl<S: EffectSet> DmodSolutionIn<S> {
+impl DmodSolution {
     /// The degraded-path fallback: projects already-reported (possibly
     /// over-approximated) `GMOD` sets through every site binding, with no
     /// guard — bounded linear work. Sound because [`project_site`] is
     /// monotone: a superset `GMOD` input yields a superset projection.
-    pub(crate) fn conservative(program: &Program, gmod: &[S]) -> Self {
+    pub(crate) fn conservative(program: &Program, gmod: &[BitSet]) -> Self {
         let per_site = program
             .sites()
             .map(|s| {
@@ -215,7 +216,7 @@ impl<S: EffectSet> DmodSolutionIn<S> {
                 project_site(program, s, &gmod[callee.index()])
             })
             .collect();
-        DmodSolutionIn {
+        DmodSolution {
             per_site,
             stats: OpCounter::new(),
         }
@@ -224,8 +225,8 @@ impl<S: EffectSet> DmodSolutionIn<S> {
     /// All-empty per-site sets (used when a half of the problem is
     /// disabled).
     pub(crate) fn empty_impl(program: &Program) -> Self {
-        DmodSolutionIn {
-            per_site: vec![S::empty(program.num_vars()); program.num_sites()],
+        DmodSolution {
+            per_site: vec![BitSet::new(program.num_vars()); program.num_sites()],
             stats: OpCounter::new(),
         }
     }

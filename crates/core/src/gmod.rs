@@ -20,7 +20,7 @@
 //! [`crate::gmod_nested`], which runs one *problem per nesting level*
 //! (§4's multi-level extension); this module exposes the shared core.
 
-use modref_bitset::{BitSet, EffectSet, OpCounter, SetMatrix};
+use modref_bitset::{BitSet, OpCounter, SetMatrix};
 use modref_graph::DiGraph;
 use modref_guard::{Guard, Interrupt, SolveCtx};
 use modref_ir::{ProcId, Program};
@@ -29,28 +29,24 @@ use crate::meter::Meter;
 
 /// The `GMOD` (or `GUSE`) sets of every procedure, with work counters.
 #[derive(Debug, Clone)]
-pub struct GmodSolutionIn<S: EffectSet> {
-    gmod: Vec<S>,
+pub struct GmodSolution {
+    gmod: Vec<BitSet>,
     stats: OpCounter,
 }
 
-/// [`GmodSolutionIn`] over the paper's dense bit vectors — the default
-/// representation of the public API.
-pub type GmodSolution = GmodSolutionIn<BitSet>;
-
-impl<S: EffectSet> GmodSolutionIn<S> {
-    pub(crate) fn new(gmod: Vec<S>, stats: OpCounter) -> Self {
-        GmodSolutionIn { gmod, stats }
+impl GmodSolution {
+    pub(crate) fn new(gmod: Vec<BitSet>, stats: OpCounter) -> Self {
+        GmodSolution { gmod, stats }
     }
 
     /// `GMOD(p)`: all variables that may be modified by an invocation of
     /// `p` — its own side effects and those of everything it can call.
-    pub fn gmod(&self, p: ProcId) -> &S {
+    pub fn gmod(&self, p: ProcId) -> &BitSet {
         &self.gmod[p.index()]
     }
 
     /// All sets, indexed by procedure.
-    pub fn gmod_all(&self) -> &[S] {
+    pub fn gmod_all(&self) -> &[BitSet] {
         &self.gmod
     }
 
@@ -59,19 +55,19 @@ impl<S: EffectSet> GmodSolutionIn<S> {
         self.stats
     }
 
-    pub(crate) fn into_parts(self) -> (Vec<S>, OpCounter) {
+    pub(crate) fn into_parts(self) -> (Vec<BitSet>, OpCounter) {
         (self.gmod, self.stats)
     }
 }
 
 /// How line 22 filters the root's set during SCC closure.
 #[derive(Debug, Clone)]
-pub(crate) enum ClosureFilter<S: EffectSet> {
+pub(crate) enum ClosureFilter {
     /// `GMOD[u] ∪= GMOD[root] ∖ LOCAL[root]` — the one-level algorithm.
     NotLocalOfRoot,
     /// `GMOD[u] ∪= GMOD[root] ∩ mask` — the multi-level problems use the
     /// set of variables declared at levels `< i`.
-    Mask(S),
+    Mask(BitSet),
 }
 
 /// Solves the one-level global problem (Figure 2) over the call
@@ -115,12 +111,12 @@ pub(crate) enum ClosureFilter<S: EffectSet> {
 /// # Ok(())
 /// # }
 /// ```
-pub fn solve_gmod_one_level<S: EffectSet>(
+pub fn solve_gmod_one_level(
     program: &Program,
     call_graph: &DiGraph,
-    seeds: &[S],
-    locals: &[S],
-) -> GmodSolutionIn<S> {
+    seeds: &[BitSet],
+    locals: &[BitSet],
+) -> GmodSolution {
     SolveCtx::unlimited(|ctx| solve_gmod_one_level_with(ctx, program, call_graph, seeds, locals))
 }
 
@@ -133,13 +129,13 @@ pub fn solve_gmod_one_level<S: EffectSet>(
 ///
 /// Returns the guard's [`Interrupt`] on a trip; the partial result is
 /// discarded.
-pub fn solve_gmod_one_level_with<S: EffectSet>(
+pub fn solve_gmod_one_level_with(
     ctx: &SolveCtx<'_>,
     program: &Program,
     call_graph: &DiGraph,
-    seeds: &[S],
-    locals: &[S],
-) -> Result<GmodSolutionIn<S>, Interrupt> {
+    seeds: &[BitSet],
+    locals: &[BitSet],
+) -> Result<GmodSolution, Interrupt> {
     let guard = ctx.guard;
     assert_eq!(seeds.len(), program.num_procs(), "one seed per procedure");
     assert_eq!(locals.len(), program.num_procs(), "one LOCAL per procedure");
@@ -162,15 +158,15 @@ pub fn solve_gmod_one_level_with<S: EffectSet>(
 /// Iterative: explicit DFS frames, no recursion. Roots at node 0 (main)
 /// first, then any node left undiscovered (procedures unreachable from
 /// main still receive correct sets).
-pub(crate) fn findgmod<S: EffectSet>(
+pub(crate) fn findgmod(
     graph: &DiGraph,
     num_vars: usize,
-    seeds: &[S],
-    locals: &[S],
+    seeds: &[BitSet],
+    locals: &[BitSet],
     edge_enabled: impl Fn(usize) -> bool,
-    closure: &ClosureFilter<S>,
+    closure: &ClosureFilter,
     guard: &Guard,
-) -> Result<GmodSolutionIn<S>, Interrupt> {
+) -> Result<GmodSolution, Interrupt> {
     let n = graph.num_nodes();
     let mut stats = OpCounter::new();
     let mut meter = Meter::new(256);
@@ -183,7 +179,7 @@ pub(crate) fn findgmod<S: EffectSet>(
     let mut next_dfn = 0usize;
 
     // GMOD lives in a matrix so that row-to-row unions borrow-check.
-    let mut gmod: SetMatrix<S> = SetMatrix::new(n, num_vars);
+    let mut gmod: SetMatrix = SetMatrix::new(n, num_vars);
     // Frames: (node, successor cursor).
     let mut frames: Vec<(usize, usize)> = Vec::new();
 
@@ -267,7 +263,7 @@ pub(crate) fn findgmod<S: EffectSet>(
     }
 
     meter.settle(guard, &stats)?;
-    Ok(GmodSolutionIn::new(gmod.into_rows(), stats))
+    Ok(GmodSolution::new(gmod.into_rows(), stats))
 }
 
 #[cfg(test)]

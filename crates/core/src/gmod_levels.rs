@@ -32,14 +32,14 @@
 //! differentially — because every component's fixpoint is unique and
 //! cross-component reads only touch finalised levels.
 
-use modref_bitset::{EffectSet, OpCounter, SetMatrix};
+use modref_bitset::{BitSet, OpCounter, SetMatrix};
 use modref_graph::{tarjan, Condensation, DiGraph};
 use modref_guard::{Guard, Interrupt, SolveCtx};
 use modref_ir::Program;
 use modref_par::ThreadPool;
 use modref_trace::Trace;
 
-use crate::gmod::GmodSolutionIn;
+use crate::gmod::GmodSolution;
 
 /// Solves `GMOD` (or `GUSE`) by level-scheduled propagation over the
 /// condensation, processing each level's components on `pool`.
@@ -51,13 +51,13 @@ use crate::gmod::GmodSolutionIn;
 /// # Panics
 ///
 /// Panics if the slice lengths differ from `program.num_procs()`.
-pub fn solve_gmod_levels<S: EffectSet>(
+pub fn solve_gmod_levels(
     program: &Program,
     call_graph: &DiGraph,
-    seeds: &[S],
-    locals: &[S],
+    seeds: &[BitSet],
+    locals: &[BitSet],
     pool: &ThreadPool,
-) -> GmodSolutionIn<S> {
+) -> GmodSolution {
     let (guard, trace) = (Guard::unlimited(), Trace::disabled());
     let ctx = SolveCtx::new(pool, &guard, &trace);
     solve_gmod_levels_with(&ctx, program, call_graph, seeds, locals)
@@ -84,13 +84,13 @@ pub fn solve_gmod_levels<S: EffectSet>(
 ///
 /// Returns the guard's [`Interrupt`] on a trip; the partial result is
 /// discarded.
-pub fn solve_gmod_levels_with<S: EffectSet>(
+pub fn solve_gmod_levels_with(
     ctx: &SolveCtx<'_>,
     program: &Program,
     call_graph: &DiGraph,
-    seeds: &[S],
-    locals: &[S],
-) -> Result<GmodSolutionIn<S>, Interrupt> {
+    seeds: &[BitSet],
+    locals: &[BitSet],
+) -> Result<GmodSolution, Interrupt> {
     let SolveCtx { guard, trace, .. } = *ctx;
     assert_eq!(seeds.len(), program.num_procs(), "one seed per procedure");
     assert_eq!(locals.len(), program.num_procs(), "one LOCAL per procedure");
@@ -98,7 +98,7 @@ pub fn solve_gmod_levels_with<S: EffectSet>(
     let n = call_graph.num_nodes();
     let mut stats = OpCounter::new();
     if n == 0 {
-        return Ok(GmodSolutionIn::new(seeds.to_vec(), stats));
+        return Ok(GmodSolution::new(seeds.to_vec(), stats));
     }
     let dp = program.max_level() as usize;
     if dp <= 1 {
@@ -112,7 +112,7 @@ pub fn solve_gmod_levels_with<S: EffectSet>(
             locals,
             &mut stats,
         )?;
-        return Ok(GmodSolutionIn::new(sets, stats));
+        return Ok(GmodSolution::new(sets, stats));
     }
 
     // Problem i keeps only edges into procedures at level ≥ i (§4's
@@ -122,7 +122,7 @@ pub fn solve_gmod_levels_with<S: EffectSet>(
         .edges()
         .map(|e| program.proc_(modref_ir::ProcId::new(e.to)).level() as usize)
         .collect();
-    let mut total: Vec<S> = seeds.to_vec();
+    let mut total: Vec<BitSet> = seeds.to_vec();
     for i in 1..=dp {
         guard.check()?;
         let mut problem_span = trace.span("gmod.problem");
@@ -152,19 +152,19 @@ pub fn solve_gmod_levels_with<S: EffectSet>(
         guard.charge(union_steps, 0);
     }
     guard.check()?;
-    Ok(GmodSolutionIn::new(total, stats))
+    Ok(GmodSolution::new(total, stats))
 }
 
 /// The LFP of `G(u) = seeds(u) ∪ ⋃_{(u,q)∈graph} (G(q) ∖ locals(q))`,
 /// computed level-parallel over the condensation of `graph`.
-fn solve_problem<S: EffectSet>(
+fn solve_problem(
     ctx: &SolveCtx<'_>,
     graph: &DiGraph,
     num_vars: usize,
-    seeds: &[S],
-    locals: &[S],
+    seeds: &[BitSet],
+    locals: &[BitSet],
     stats: &mut OpCounter,
-) -> Result<Vec<S>, Interrupt> {
+) -> Result<Vec<BitSet>, Interrupt> {
     let SolveCtx { pool, guard, trace } = *ctx;
     let n = graph.num_nodes();
     let sccs = tarjan(graph);
@@ -180,7 +180,7 @@ fn solve_problem<S: EffectSet>(
         }
     }
 
-    let mut g: Vec<S> = vec![S::empty(num_vars); n];
+    let mut g: Vec<BitSet> = vec![BitSet::new(num_vars); n];
     for level in 0..levels.num_levels() {
         let group = levels.group(level);
         let mut level_span = trace.span("gmod.level");
@@ -238,18 +238,18 @@ fn solve_problem<S: EffectSet>(
 /// reachable from the component through a cross-component edge. Returns
 /// one row per member, in member order, plus the work done.
 #[allow(clippy::too_many_arguments)]
-pub fn solve_component<S: EffectSet>(
+pub fn solve_component(
     c: modref_graph::SccId,
     graph: &DiGraph,
     sccs: &modref_graph::Sccs,
     comp_map: &[modref_graph::SccId],
     comp_pos: &[usize],
-    seeds: &[S],
-    locals: &[S],
-    g_final: &[S],
+    seeds: &[BitSet],
+    locals: &[BitSet],
+    g_final: &[BitSet],
     num_vars: usize,
     guard: &Guard,
-) -> (Vec<S>, OpCounter) {
+) -> (Vec<BitSet>, OpCounter) {
     let members = sccs.members(c);
     let mut counter = OpCounter::new();
     counter.nodes_visited += members.len() as u64;
@@ -275,9 +275,9 @@ pub fn solve_component<S: EffectSet>(
     // any member can inject, already stripped of its own hop's locals —
     // and the union `L` of the members' local sets.
     let mut internal: Vec<(usize, usize, usize)> = Vec::new();
-    let mut bases: Vec<S> = Vec::with_capacity(members.len());
-    let mut transfer = S::empty(num_vars);
-    let mut member_locals = S::empty(num_vars);
+    let mut bases: Vec<BitSet> = Vec::with_capacity(members.len());
+    let mut transfer = BitSet::new(num_vars);
+    let mut member_locals = BitSet::new(num_vars);
     for (k, &u) in members.iter().enumerate() {
         member_locals.union_with(&locals[u]);
         transfer.union_with_difference(&seeds[u], &locals[u]);
@@ -315,7 +315,7 @@ pub fn solve_component<S: EffectSet>(
         return (bases, counter);
     }
 
-    let mut m: SetMatrix<S> = SetMatrix::new(members.len(), num_vars);
+    let mut m: SetMatrix = SetMatrix::new(members.len(), num_vars);
     for (k, base) in bases.iter().enumerate() {
         m.or_row_with_set(k, base);
     }

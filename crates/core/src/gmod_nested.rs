@@ -23,20 +23,20 @@
 //!   parallel stacks, exploiting that the level-`i` components refine the
 //!   level-`(i-1)` components: `O(E_C + d_P · N_C)` bit-vector steps.
 
-use modref_bitset::{EffectSet, OpCounter, SetMatrix};
+use modref_bitset::{BitSet, OpCounter, SetMatrix};
 use modref_graph::DiGraph;
 use modref_guard::{Interrupt, SolveCtx};
 use modref_ir::Program;
 
-use crate::gmod::{findgmod, ClosureFilter, GmodSolutionIn};
+use crate::gmod::{findgmod, ClosureFilter, GmodSolution};
 use crate::meter::Meter;
 
 /// The set of variables declared at levels `< i`, for `i` in `0..=d_P`
 /// (`level_lt[0]` is empty; `level_lt[1]` is the true globals plus main's
 /// locals; …).
-fn level_masks<S: EffectSet>(program: &Program) -> Vec<S> {
+fn level_masks(program: &Program) -> Vec<BitSet> {
     let dp = program.max_level() as usize;
-    let mut masks = vec![S::empty(program.num_vars()); dp + 1];
+    let mut masks = vec![BitSet::new(program.num_vars()); dp + 1];
     for v in program.vars() {
         let lv = program.var_level(v) as usize;
         for mask in masks.iter_mut().skip(lv + 1) {
@@ -54,12 +54,12 @@ fn level_masks<S: EffectSet>(program: &Program) -> Vec<S> {
 /// # Panics
 ///
 /// Panics if the slice lengths differ from `program.num_procs()`.
-pub fn solve_gmod_multi_naive<S: EffectSet>(
+pub fn solve_gmod_multi_naive(
     program: &Program,
     call_graph: &DiGraph,
-    seeds: &[S],
-    locals: &[S],
-) -> GmodSolutionIn<S> {
+    seeds: &[BitSet],
+    locals: &[BitSet],
+) -> GmodSolution {
     SolveCtx::unlimited(|ctx| solve_gmod_multi_naive_with(ctx, program, call_graph, seeds, locals))
 }
 
@@ -71,19 +71,19 @@ pub fn solve_gmod_multi_naive<S: EffectSet>(
 ///
 /// Returns the guard's [`Interrupt`] on a trip; the partial result is
 /// discarded.
-pub fn solve_gmod_multi_naive_with<S: EffectSet>(
+pub fn solve_gmod_multi_naive_with(
     ctx: &SolveCtx<'_>,
     program: &Program,
     call_graph: &DiGraph,
-    seeds: &[S],
-    locals: &[S],
-) -> Result<GmodSolutionIn<S>, Interrupt> {
+    seeds: &[BitSet],
+    locals: &[BitSet],
+) -> Result<GmodSolution, Interrupt> {
     let guard = ctx.guard;
     assert_eq!(seeds.len(), program.num_procs(), "one seed per procedure");
     assert_eq!(locals.len(), program.num_procs(), "one LOCAL per procedure");
     guard.checkpoint("gmod")?;
     let dp = program.max_level() as usize;
-    let masks: Vec<S> = level_masks(program);
+    let masks: Vec<BitSet> = level_masks(program);
     let callee_level: Vec<usize> = call_graph
         .edges()
         .map(|e| program.proc_(modref_ir::ProcId::new(e.to)).level() as usize)
@@ -94,7 +94,7 @@ pub fn solve_gmod_multi_naive_with<S: EffectSet>(
     // this meter covers only the union sweep, so nothing is double-billed.
     let mut union_work = OpCounter::new();
     let mut meter = Meter::new(64);
-    let mut union_sets: Vec<S> = seeds.to_vec();
+    let mut union_sets: Vec<BitSet> = seeds.to_vec();
     #[allow(clippy::needless_range_loop)] // `i` is the problem number, not just an index
     for i in 1..=dp {
         let sol = findgmod(
@@ -116,7 +116,7 @@ pub fn solve_gmod_multi_naive_with<S: EffectSet>(
         }
     }
     meter.settle(guard, &union_work)?;
-    Ok(GmodSolutionIn::new(union_sets, total_stats))
+    Ok(GmodSolution::new(union_sets, total_stats))
 }
 
 /// Exact nested `GMOD` in a single depth-first pass with lowlink *vectors*
@@ -134,12 +134,12 @@ pub fn solve_gmod_multi_naive_with<S: EffectSet>(
 /// # Panics
 ///
 /// Panics if the slice lengths differ from `program.num_procs()`.
-pub fn solve_gmod_multi_fused<S: EffectSet>(
+pub fn solve_gmod_multi_fused(
     program: &Program,
     call_graph: &DiGraph,
-    seeds: &[S],
-    locals: &[S],
-) -> GmodSolutionIn<S> {
+    seeds: &[BitSet],
+    locals: &[BitSet],
+) -> GmodSolution {
     SolveCtx::unlimited(|ctx| solve_gmod_multi_fused_with(ctx, program, call_graph, seeds, locals))
 }
 
@@ -151,13 +151,13 @@ pub fn solve_gmod_multi_fused<S: EffectSet>(
 ///
 /// Returns the guard's [`Interrupt`] on a trip; the partial result is
 /// discarded.
-pub fn solve_gmod_multi_fused_with<S: EffectSet>(
+pub fn solve_gmod_multi_fused_with(
     ctx: &SolveCtx<'_>,
     program: &Program,
     call_graph: &DiGraph,
-    seeds: &[S],
-    locals: &[S],
-) -> Result<GmodSolutionIn<S>, Interrupt> {
+    seeds: &[BitSet],
+    locals: &[BitSet],
+) -> Result<GmodSolution, Interrupt> {
     let guard = ctx.guard;
     assert_eq!(seeds.len(), program.num_procs(), "one seed per procedure");
     assert_eq!(locals.len(), program.num_procs(), "one LOCAL per procedure");
@@ -168,9 +168,9 @@ pub fn solve_gmod_multi_fused_with<S: EffectSet>(
     let mut meter = Meter::new(256);
     if dp == 0 || n == 0 {
         // Only main exists (or nothing): GMOD = IMOD⁺.
-        return Ok(GmodSolutionIn::new(seeds.to_vec(), stats));
+        return Ok(GmodSolution::new(seeds.to_vec(), stats));
     }
-    let masks: Vec<S> = level_masks(program);
+    let masks: Vec<BitSet> = level_masks(program);
     let callee_level: Vec<usize> = call_graph
         .edges()
         .map(|e| program.proc_(modref_ir::ProcId::new(e.to)).level() as usize)
@@ -186,7 +186,7 @@ pub fn solve_gmod_multi_fused_with<S: EffectSet>(
     // depth, so pops happen deepest-problem-first.
     let mut pop_frontier = vec![0usize; n];
     let mut next_dfn = 0usize;
-    let mut gmod: SetMatrix<S> = SetMatrix::new(n, program.num_vars());
+    let mut gmod: SetMatrix = SetMatrix::new(n, program.num_vars());
     let mut frames: Vec<(usize, usize)> = Vec::new();
 
     let discover = |v: usize,
@@ -194,7 +194,7 @@ pub fn solve_gmod_multi_fused_with<S: EffectSet>(
                     lowlink: &mut Vec<Vec<usize>>,
                     stacks: &mut Vec<Vec<usize>>,
                     pop_frontier: &mut Vec<usize>,
-                    gmod: &mut SetMatrix<S>,
+                    gmod: &mut SetMatrix,
                     next_dfn: &mut usize,
                     stats: &mut OpCounter| {
         dfn[v] = *next_dfn;
@@ -302,7 +302,7 @@ pub fn solve_gmod_multi_fused_with<S: EffectSet>(
     }
 
     meter.settle(guard, &stats)?;
-    Ok(GmodSolutionIn::new(gmod.into_rows(), stats))
+    Ok(GmodSolution::new(gmod.into_rows(), stats))
 }
 
 #[cfg(test)]

@@ -7,11 +7,11 @@
 //! callee — which is what makes the global phase's binding function
 //! degenerate into the simple filter of equation (4).
 
-use modref_bitset::{EffectSet, OpCounter};
+use modref_bitset::{BitSet, OpCounter};
 use modref_guard::{Interrupt, SolveCtx};
 use modref_ir::{Actual, CallSiteId, Program, VarId};
 
-use modref_binding::RmodSolutionIn;
+use modref_binding::RmodSolution;
 
 use crate::meter::Meter;
 
@@ -53,16 +53,16 @@ use crate::meter::Meter;
 /// # Ok(())
 /// # }
 /// ```
-pub fn compute_imod_plus<S: EffectSet>(
+pub fn compute_imod_plus(
     program: &Program,
-    initial: &[S],
-    rmod: &RmodSolutionIn<S>,
-) -> (Vec<S>, OpCounter) {
+    initial: &[BitSet],
+    rmod: &RmodSolution,
+) -> (Vec<BitSet>, OpCounter) {
     SolveCtx::unlimited(|ctx| compute_imod_plus_with(ctx, program, initial, rmod.rmod_all()))
 }
 
 /// [`compute_imod_plus`] over per-procedure `RMOD` rows (`rmod[q]` holds
-/// the formals of `q` in `RMOD(q)`, as [`RmodSolutionIn::rmod_all`]
+/// the formals of `q` in `RMOD(q)`, as [`RmodSolution::rmod_all`]
 /// returns them), under a [`SolveCtx`]: the single pass over call sites
 /// polls the guard every few hundred sites and charges its boolean work
 /// against the budget. It has no named checkpoint of its own — the
@@ -77,12 +77,12 @@ pub fn compute_imod_plus<S: EffectSet>(
 /// # Panics
 ///
 /// Panics if `initial` or `rmod` is not one set per procedure.
-pub fn compute_imod_plus_with<S: EffectSet>(
+pub fn compute_imod_plus_with(
     ctx: &SolveCtx<'_>,
     program: &Program,
-    initial: &[S],
-    rmod: &[S],
-) -> Result<(Vec<S>, OpCounter), Interrupt> {
+    initial: &[BitSet],
+    rmod: &[BitSet],
+) -> Result<(Vec<BitSet>, OpCounter), Interrupt> {
     assert_eq!(
         initial.len(),
         program.num_procs(),
@@ -111,10 +111,10 @@ pub fn compute_imod_plus_with<S: EffectSet>(
 /// which holds `p`'s set. Returns the boolean steps taken, one per
 /// argument. The exhaustive pass above and the demand engine, which
 /// decides formal bits lazily, both fold sites through this.
-pub(crate) fn fold_site<S: EffectSet, E>(
+pub(crate) fn fold_site<E>(
     program: &Program,
     s: CallSiteId,
-    plus: &mut S,
+    plus: &mut BitSet,
     mut in_rmod: impl FnMut(VarId) -> Result<bool, E>,
 ) -> Result<u64, E> {
     let site = program.site(s);

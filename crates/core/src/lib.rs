@@ -65,28 +65,29 @@ mod meter;
 pub mod modsets;
 pub mod pipeline;
 
-pub use alias::{AliasPairs, AliasPairsIn};
+pub use alias::AliasPairs;
 pub use demand::{
     conservative_proc_answer, conservative_site_answer, query_proc_with, query_site_with,
     DemandMemo, ProcAnswer, Side, SiteAnswer,
 };
-pub use dmod::{DmodSolution, DmodSolutionIn};
-pub use gmod::{solve_gmod_one_level, solve_gmod_one_level_with, GmodSolution, GmodSolutionIn};
+pub use dmod::DmodSolution;
+pub use gmod::{solve_gmod_one_level, solve_gmod_one_level_with, GmodSolution};
 pub use gmod_levels::{solve_component, solve_gmod_levels, solve_gmod_levels_with};
 pub use gmod_nested::{
     solve_gmod_multi_fused, solve_gmod_multi_fused_with, solve_gmod_multi_naive,
     solve_gmod_multi_naive_with,
 };
 pub use imod_plus::{compute_imod_plus, compute_imod_plus_with};
-pub use modsets::{ModSolution, ModSolutionIn};
+pub use modsets::ModSolution;
 pub use pipeline::{
     AnalysisOutcome, Analyzer, DegradeReason, GmodAlgorithm, Phase, PhaseMask, PhaseStats,
     PhaseWall, Summary,
 };
 
-/// The set-representation layer ([`Analyzer::set_repr`]), re-exported so
-/// downstream crates need not depend on `modref-bitset` directly.
-pub use modref_bitset::{BitSet, EffectSet, HybridSet, SetRepr};
+/// The set type every answer is reported in, and its operation
+/// vocabulary, re-exported so downstream crates need not depend on
+/// `modref-bitset` directly.
+pub use modref_bitset::{BitSet, EffectSet};
 
 /// The guard machinery (budgets, deadlines, cancellation, fault
 /// injection), re-exported so downstream crates need not depend on

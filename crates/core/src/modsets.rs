@@ -1,31 +1,27 @@
 //! `MOD` from `DMOD` plus aliases — §5 step (2).
 
-use modref_bitset::{BitSet, EffectSet, OpCounter};
+use modref_bitset::{BitSet, OpCounter};
 use modref_guard::{Interrupt, SolveCtx};
 use modref_ir::{CallSiteId, Program};
 
-use crate::alias::AliasPairsIn;
-use crate::dmod::{map_sites, DmodSolutionIn};
+use crate::alias::AliasPairs;
+use crate::dmod::{map_sites, DmodSolution};
 
 /// Per-call-site final `MOD` (or `USE`) sets.
 #[derive(Debug, Clone)]
-pub struct ModSolutionIn<S: EffectSet> {
-    per_site: Vec<S>,
+pub struct ModSolution {
+    per_site: Vec<BitSet>,
     stats: OpCounter,
 }
 
-/// [`ModSolutionIn`] over the paper's dense bit vectors — the default
-/// representation of the public API.
-pub type ModSolution = ModSolutionIn<BitSet>;
-
-impl<S: EffectSet> ModSolutionIn<S> {
+impl ModSolution {
     /// `MOD(s)` for call site `s`.
-    pub fn mod_site(&self, s: CallSiteId) -> &S {
+    pub fn mod_site(&self, s: CallSiteId) -> &BitSet {
         &self.per_site[s.index()]
     }
 
     /// All per-site sets, indexed by call site.
-    pub fn all(&self) -> &[S] {
+    pub fn all(&self) -> &[BitSet] {
         &self.per_site
     }
 
@@ -35,13 +31,13 @@ impl<S: EffectSet> ModSolutionIn<S> {
         self.stats
     }
 
-    pub(crate) fn into_sets(self) -> Vec<S> {
+    pub(crate) fn into_sets(self) -> Vec<BitSet> {
         self.per_site
     }
 
     /// Wraps already-widened per-site sets (the degraded-path fallback).
-    pub(crate) fn conservative(per_site: Vec<S>) -> Self {
-        ModSolutionIn {
+    pub(crate) fn conservative(per_site: Vec<BitSet>) -> Self {
+        ModSolution {
             per_site,
             stats: OpCounter::new(),
         }
@@ -50,11 +46,7 @@ impl<S: EffectSet> ModSolutionIn<S> {
 
 /// For each call site `s` in procedure `p`:
 /// `MOD(s) = DMOD(s) ∪ { y : x ∈ DMOD(s), ⟨x, y⟩ ∈ ALIAS(p) }`.
-pub fn compute_mod<S: EffectSet>(
-    program: &Program,
-    dmod: &DmodSolutionIn<S>,
-    aliases: &AliasPairsIn<S>,
-) -> ModSolutionIn<S> {
+pub fn compute_mod(program: &Program, dmod: &DmodSolution, aliases: &AliasPairs) -> ModSolution {
     SolveCtx::unlimited(|ctx| compute_mod_with(ctx, program, dmod, aliases))
 }
 
@@ -67,12 +59,12 @@ pub fn compute_mod<S: EffectSet>(
 ///
 /// Returns the guard's [`Interrupt`] if a deadline, budget, or
 /// cancellation trips mid-factoring; partial per-site sets are discarded.
-pub fn compute_mod_with<S: EffectSet>(
+pub fn compute_mod_with(
     ctx: &SolveCtx<'_>,
     program: &Program,
-    dmod: &DmodSolutionIn<S>,
-    aliases: &AliasPairsIn<S>,
-) -> Result<ModSolutionIn<S>, Interrupt> {
+    dmod: &DmodSolution,
+    aliases: &AliasPairs,
+) -> Result<ModSolution, Interrupt> {
     ctx.guard.checkpoint("modsets")?;
     let mut stats = OpCounter::new();
     stats.bitvec_steps += program.num_sites() as u64;
@@ -80,7 +72,7 @@ pub fn compute_mod_with<S: EffectSet>(
         let caller = program.site(s).caller();
         aliases.extend_with_aliases(caller, dmod.dmod_site(s))
     })?;
-    Ok(ModSolutionIn { per_site, stats })
+    Ok(ModSolution { per_site, stats })
 }
 
 #[cfg(test)]

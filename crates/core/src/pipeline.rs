@@ -12,16 +12,16 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use modref_binding::{solve_rmod_with, BindingGraph, RmodSolutionIn};
-use modref_bitset::{BitSet, EffectSet, HybridSet, OpCounter, SetRepr};
+use modref_binding::{solve_rmod_with, BindingGraph, RmodSolution};
+use modref_bitset::{BitSet, OpCounter};
 use modref_guard::{Guard, Interrupt, SolveCtx};
-use modref_ir::{CallGraph, CallSiteId, LocalEffects, LocalEffectsIn, ProcId, Program};
+use modref_ir::{CallGraph, CallSiteId, LocalEffects, ProcId, Program};
 use modref_par::ThreadPool;
 use modref_trace::Trace;
 
-use crate::alias::{AliasPairs, AliasPairsIn};
-use crate::dmod::{compute_dmod_with, DmodSolutionIn};
-use crate::gmod::{solve_gmod_one_level_with, GmodSolutionIn};
+use crate::alias::AliasPairs;
+use crate::dmod::{compute_dmod_with, DmodSolution};
+use crate::gmod::{solve_gmod_one_level_with, GmodSolution};
 use crate::gmod_levels::solve_gmod_levels_with;
 use crate::gmod_nested::{solve_gmod_multi_fused_with, solve_gmod_multi_naive_with};
 use crate::imod_plus::compute_imod_plus_with;
@@ -42,22 +42,6 @@ fn span_ops(span: &mut modref_trace::Span<'_>, ops: &OpCounter) {
             span.arg(key, value);
         }
     }
-}
-
-/// The program's visible sets, converted into the working representation
-/// (the pipeline's conservative fallback material).
-fn visible_sets_in<S: EffectSet>(program: &Program) -> Vec<S> {
-    program
-        .visible_sets()
-        .into_iter()
-        .map(S::from_dense_owned)
-        .collect()
-}
-
-/// Converts a whole solution vector to the dense default representation
-/// (an identity move per element for the dense instantiation).
-fn sets_to_dense<S: EffectSet>(sets: Vec<S>) -> Vec<BitSet> {
-    sets.into_iter().map(S::into_dense).collect()
 }
 
 /// Which algorithm computes the global (`GMOD`) phase.
@@ -300,7 +284,6 @@ fn run_phase<T>(
 #[derive(Debug, Clone, Default)]
 pub struct Analyzer {
     gmod_algorithm: GmodAlgorithm,
-    set_repr: SetRepr,
     skip_use: bool,
     skip_aliases: bool,
     parallel: bool,
@@ -319,24 +302,6 @@ impl Analyzer {
     pub fn gmod_algorithm(&mut self, algorithm: GmodAlgorithm) -> &mut Self {
         self.gmod_algorithm = algorithm;
         self
-    }
-
-    /// Selects the internal set representation the solvers run on (see
-    /// `docs/SETREPR.md`). The default, [`SetRepr::Dense`], is the paper's
-    /// dense bit vectors; [`SetRepr::Hybrid`] runs every phase on the
-    /// sparse-friendly [`HybridSet`]; [`SetRepr::Auto`] picks per program
-    /// (hybrid only for universes past the density cutoff). The reported
-    /// [`Summary`] is always dense and bit-identical across
-    /// representations — only working memory and constant factors change.
-    pub fn set_repr(&mut self, repr: SetRepr) -> &mut Self {
-        self.set_repr = repr;
-        self
-    }
-
-    /// The set representation configured through [`Analyzer::set_repr`]
-    /// ([`SetRepr::Dense`] by default).
-    pub fn configured_set_repr(&self) -> SetRepr {
-        self.set_repr
     }
 
     /// Skips the `USE` problem (the `use_*` accessors then return empty
@@ -432,18 +397,6 @@ impl Analyzer {
     /// remaining guarded phase fails fast at its entry checkpoint, so a
     /// tripped run finishes with bounded linear fallback work.
     pub fn analyze_guarded(&self, program: &Program, guard: &Guard) -> AnalysisOutcome {
-        if self.set_repr.use_hybrid(program.num_vars(), None) {
-            self.analyze_guarded_in::<HybridSet>(program, guard)
-        } else {
-            self.analyze_guarded_in::<BitSet>(program, guard)
-        }
-    }
-
-    /// [`Analyzer::analyze_guarded`] monomorphised over one concrete set
-    /// representation. Every solver phase, fallback, and intermediate
-    /// vector uses `S`; the returned [`Summary`] converts to dense at the
-    /// boundary (an identity move when `S` is [`BitSet`]).
-    fn analyze_guarded_in<S: EffectSet>(&self, program: &Program, guard: &Guard) -> AnalysisOutcome {
         let started = Instant::now();
         let mut stats = PhaseStats::default();
         let pool = ThreadPool::with_threads(self.threads);
@@ -466,9 +419,9 @@ impl Analyzer {
             &mut stats.wall.fallback,
             || {
                 guard.checkpoint("local")?;
-                Ok(LocalEffectsIn::<S>::compute_pooled(program, &pool))
+                Ok(LocalEffects::compute_pooled(program, &pool))
             },
-            || LocalEffectsIn::<S>::conservative(program),
+            || LocalEffects::conservative(program),
         );
         drop(local_span);
         stats.wall.local += t.elapsed();
@@ -476,11 +429,7 @@ impl Analyzer {
             program,
             call_graph: CallGraph::build(program),
             beta: BindingGraph::build(program),
-            locals: program
-                .local_sets()
-                .into_iter()
-                .map(S::from_dense_owned)
-                .collect(),
+            locals: program.local_sets(),
         };
 
         // Phases 1-3 for MOD, optionally for USE. Each half reads only
@@ -490,7 +439,7 @@ impl Analyzer {
         // pool's submit lock. The halves share `guard`, so one half's
         // budget trip also stops the other at its next poll.
         let run_half =
-            |initial: &[S], is_mod: bool| self.half_pipeline(&ctx, &shared, initial, is_mod);
+            |initial: &[BitSet], is_mod: bool| self.half_pipeline(&ctx, &shared, initial, is_mod);
         let halves_concurrent = self.parallel || pool.threads() > 1;
         let (mod_half, use_half) = if self.skip_use {
             (run_half(effects.imod_all(), true), None)
@@ -533,7 +482,7 @@ impl Analyzer {
                 (half.gmod, half.plus, half.rmod)
             }
             None => {
-                let empty = vec![S::empty(program.num_vars()); program.num_procs()];
+                let empty = vec![BitSet::new(program.num_vars()); program.num_procs()];
                 (empty.clone(), empty.clone(), empty)
             }
         };
@@ -549,18 +498,18 @@ impl Analyzer {
             &mut failures,
             &mut stats.wall.fallback,
             || compute_dmod_with(&ctx, program, &gmod),
-            || DmodSolutionIn::conservative(program, &gmod),
+            || DmodSolution::conservative(program, &gmod),
         );
         stats.dmod += dmod.stats();
         let duse = if self.skip_use {
-            DmodSolutionIn::empty_impl(program)
+            DmodSolution::empty_impl(program)
         } else {
             let d = run_phase(
                 Phase::Dmod,
                 &mut failures,
                 &mut stats.wall.fallback,
                 || compute_dmod_with(&ctx, program, &guse),
-                || DmodSolutionIn::conservative(program, &guse),
+                || DmodSolution::conservative(program, &guse),
             );
             stats.dmod += d.stats();
             d
@@ -574,15 +523,15 @@ impl Analyzer {
         // factoring below compensates by widening the final sets instead.
         let t = Instant::now();
         let aliases = if self.skip_aliases {
-            AliasPairsIn::<S>::empty_impl(program)
+            AliasPairs::empty_impl(program)
         } else {
             let mut alias_span = self.trace.span("alias");
             let pairs = run_phase(
                 Phase::Aliases,
                 &mut failures,
                 &mut stats.wall.fallback,
-                || AliasPairsIn::<S>::compute_with(&ctx, program),
-                || AliasPairsIn::<S>::empty_impl(program),
+                || AliasPairs::compute_with(&ctx, program),
+                || AliasPairs::empty_impl(program),
             );
             let total_pairs: usize = program.procs().map(|p| pairs.pair_count(p)).sum();
             alias_span.arg("pairs", total_pairs as u64);
@@ -592,14 +541,14 @@ impl Analyzer {
             !self.skip_aliases && failures.iter().any(|f| f.phase == Phase::Aliases);
         stats.wall.aliases += t.elapsed();
         let t = Instant::now();
-        let conservative_sites = |skip: bool| -> Vec<S> {
+        let conservative_sites = |skip: bool| -> Vec<BitSet> {
             if skip {
-                vec![S::empty(program.num_vars()); program.num_sites()]
+                vec![BitSet::new(program.num_vars()); program.num_sites()]
             } else {
                 let visible = program.visible_sets();
                 program
                     .sites()
-                    .map(|s| S::from_dense(&visible[program.site(s).caller().index()]))
+                    .map(|s| visible[program.site(s).caller().index()].clone())
                     .collect()
             }
         };
@@ -609,7 +558,7 @@ impl Analyzer {
             &mut failures,
             &mut stats.wall.fallback,
             || compute_mod_with(&ctx, program, &dmod, &aliases),
-            || crate::modsets::ModSolutionIn::conservative(conservative_sites(false)),
+            || crate::modsets::ModSolution::conservative(conservative_sites(false)),
         );
         stats.modsets += mods.stats();
         let uses = run_phase(
@@ -617,7 +566,7 @@ impl Analyzer {
             &mut failures,
             &mut stats.wall.fallback,
             || compute_mod_with(&ctx, program, &duse, &aliases),
-            || crate::modsets::ModSolutionIn::conservative(conservative_sites(self.skip_use)),
+            || crate::modsets::ModSolution::conservative(conservative_sites(self.skip_use)),
         );
         stats.modsets += uses.stats();
         span_ops(&mut modsets_span, &stats.modsets);
@@ -659,18 +608,18 @@ impl Analyzer {
         stats.cut = cut;
 
         let summary = Summary {
-            effects: effects.into_dense(),
-            rmod: sets_to_dense(rmod),
-            ruse: sets_to_dense(ruse),
-            imod_plus: sets_to_dense(imod_plus),
-            iuse_plus: sets_to_dense(iuse_plus),
-            gmod: sets_to_dense(gmod),
-            guse: sets_to_dense(guse),
-            dmod_sites: dmod.all().iter().map(|d| d.to_dense()).collect(),
-            duse_sites: duse.all().iter().map(|d| d.to_dense()).collect(),
-            mod_sites: sets_to_dense(mod_sites),
-            use_sites: sets_to_dense(use_sites),
-            aliases: aliases.into_dense(),
+            effects,
+            rmod,
+            ruse,
+            imod_plus,
+            iuse_plus,
+            gmod,
+            guse,
+            dmod_sites: dmod.into_sets(),
+            duse_sites: duse.into_sets(),
+            mod_sites,
+            use_sites,
+            aliases,
             beta_nodes: shared.beta.num_nodes(),
             beta_edges: shared.beta.num_edges(),
             stats,
@@ -718,13 +667,13 @@ impl Analyzer {
 
     /// RMOD → IMOD⁺ → GMOD for one side of the problem, each phase with
     /// its conservative fallback (all formals / visible sets).
-    fn half_pipeline<S: EffectSet>(
+    fn half_pipeline(
         &self,
         ctx: &SolveCtx<'_>,
-        shared: &Shared<'_, S>,
-        initial: &[S],
+        shared: &Shared<'_>,
+        initial: &[BitSet],
         is_mod: bool,
-    ) -> Half<S> {
+    ) -> Half {
         let Shared {
             program,
             call_graph,
@@ -745,7 +694,7 @@ impl Analyzer {
             &mut failures,
             &mut stats.wall.fallback,
             || solve_rmod_with(ctx, program, initial, beta),
-            || RmodSolutionIn::conservative(program),
+            || RmodSolution::conservative(program),
         );
         span_ops(&mut rmod_span, &rmod.stats());
         drop(rmod_span);
@@ -766,7 +715,7 @@ impl Analyzer {
                 ctx.guard.checkpoint("imod_plus")?;
                 compute_imod_plus_with(ctx, program, initial, rmod.rmod_all())
             },
-            || (visible_sets_in::<S>(program), OpCounter::new()),
+            || (program.visible_sets(), OpCounter::new()),
         );
         span_ops(&mut plus_span, &plus_stats);
         drop(plus_span);
@@ -797,7 +746,7 @@ impl Analyzer {
             },
         );
         let graph = call_graph.graph();
-        let gmod: GmodSolutionIn<S> = run_phase(
+        let gmod: GmodSolution = run_phase(
             gmod_phase,
             &mut failures,
             &mut stats.wall.fallback,
@@ -815,7 +764,7 @@ impl Analyzer {
                     solve_gmod_levels_with(ctx, program, graph, &plus, locals)
                 }
             },
-            || GmodSolutionIn::new(visible_sets_in::<S>(program), OpCounter::new()),
+            || GmodSolution::new(program.visible_sets(), OpCounter::new()),
         );
         span_ops(&mut gmod_span, &gmod.stats());
         drop(gmod_span);
@@ -837,21 +786,21 @@ impl Analyzer {
 }
 
 /// One half's reported sets, with its stats and failures.
-struct Half<S: EffectSet> {
-    gmod: Vec<S>,
-    plus: Vec<S>,
-    rmod: Vec<S>,
+struct Half {
+    gmod: Vec<BitSet>,
+    plus: Vec<BitSet>,
+    rmod: Vec<BitSet>,
     stats: PhaseStats,
     failures: Vec<Failure>,
 }
 
 /// The immutable inputs both pipeline halves read.
-struct Shared<'a, S: EffectSet> {
+struct Shared<'a> {
     program: &'a Program,
     call_graph: CallGraph,
     beta: BindingGraph,
-    /// `LOCAL(p)` per procedure, in the working representation.
-    locals: Vec<S>,
+    /// `LOCAL(p)` per procedure.
+    locals: Vec<BitSet>,
 }
 
 /// Work counters per pipeline phase, in the paper's cost units.

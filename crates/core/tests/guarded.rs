@@ -10,7 +10,7 @@ use modref_check::prelude::*;
 use modref_check::runner::CaseResult;
 use modref_core::{
     AnalysisOutcome, Analyzer, Budget, CancelToken, DegradeReason, FaultPlan, Guard, Interrupt,
-    SetRepr, Summary,
+    Summary,
 };
 use modref_ir::Program;
 use modref_progen::{generate, GenConfig};
@@ -356,62 +356,6 @@ fn degraded_no_use_keeps_use_sets_empty() {
     }
 }
 
-#[test]
-fn hybrid_forced_panic_at_every_site_is_contained_and_sound() {
-    // The guard runtime must contain faults identically under the hybrid
-    // representation: superset-sound degradation, and — pressure gone —
-    // answers bit-identical to the dense exact baseline.
-    let program = demo_program(12, 3, 29);
-    let exact = Analyzer::new().analyze(&program);
-    for site in PIPELINE_SITES {
-        for threads in [1usize, 4] {
-            let mut analyzer = Analyzer::new();
-            analyzer.set_repr(SetRepr::Hybrid).threads(threads);
-            let guard = Guard::unlimited().with_faults(FaultPlan::new().panic_at(site));
-            let outcome = analyzer.analyze_guarded(&program, &guard);
-            assert!(
-                outcome.is_degraded(),
-                "hybrid panic at `{site}` must surface as degradation"
-            );
-            expect_pass(check_superset(
-                &program,
-                &exact,
-                &outcome.into_summary(),
-                &format!("hybrid panic@{site} t{threads}"),
-            ));
-            // Recovery: the same hybrid-configured analyzer, no faults.
-            let AnalysisOutcome::Clean(recovered) =
-                analyzer.analyze_guarded(&program, &Guard::unlimited())
-            else {
-                panic!("hybrid recovery after panic@{site} must be clean");
-            };
-            for s in program.sites() {
-                assert_eq!(exact.mod_site(s), recovered.mod_site(s), "recovery MOD({s})");
-                assert_eq!(exact.use_site(s), recovered.use_site(s), "recovery USE({s})");
-            }
-        }
-    }
-}
-
-#[test]
-fn hybrid_zero_budget_degrades_soundly() {
-    for seed in 0..8u64 {
-        let program = demo_program(10, 3, seed);
-        let exact = Analyzer::new().analyze(&program);
-        let guard = Guard::new(&Budget::unlimited().with_ops(0));
-        let mut analyzer = Analyzer::new();
-        analyzer.set_repr(SetRepr::Hybrid);
-        let outcome = analyzer.analyze_guarded(&program, &guard);
-        assert!(outcome.is_degraded(), "seed {seed}: zero budget must degrade");
-        expect_pass(check_superset(
-            &program,
-            &exact,
-            &outcome.into_summary(),
-            &format!("seed {seed} hybrid zero-budget"),
-        ));
-    }
-}
-
 property! {
     #![cases = 64]
 
@@ -423,18 +367,13 @@ property! {
         threads in ints(1..5usize),
     ) {
         // Whatever a seeded fault pattern does — panic, stall, exhaust,
-        // or nothing — the guarded run terminates with sound output,
-        // under either set representation (the fault seed's low bit
-        // doubles as the representation coin so half the cases run
-        // hybrid).
+        // or nothing — the guarded run terminates with sound output.
         let program = generate(&GenConfig::tiny(n, depth), seed);
         let exact = Analyzer::new().analyze(&program);
         let guard = Guard::new(&Budget::unlimited().with_deadline(Duration::from_secs(60)))
             .with_faults(FaultPlan::seeded(fault_seed));
-        let repr = if fault_seed & 1 == 1 { SetRepr::Hybrid } else { SetRepr::Dense };
         let outcome = Analyzer::new()
             .threads(threads)
-            .set_repr(repr)
             .analyze_guarded(&program, &guard);
         match outcome {
             AnalysisOutcome::Clean(summary) => {

@@ -64,7 +64,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use modref_binding::BindingGraph;
-use modref_bitset::{BitSet, EffectSet, OpCounter};
+use modref_bitset::{BitSet, OpCounter};
 use modref_core::{compute_imod_plus_with, solve_component, Analyzer};
 use modref_graph::{DiGraph, DynCondensation, SccId, SparseSweep};
 use modref_guard::{Guard, Interrupt, SolveCtx};
@@ -72,7 +72,7 @@ use modref_ir::{CallGraph, CallSiteId, Edit, EditDelta, EditError, ProcId, Progr
 use modref_par::ThreadPool;
 use modref_trace::Trace;
 
-use modref_core::AliasPairsIn;
+use modref_core::AliasPairs;
 
 use crate::script::Script;
 
@@ -98,42 +98,42 @@ impl std::error::Error for ReplayError {}
 ///
 /// [`Summary`]: modref_core::Summary
 #[derive(Debug, Default, Clone)]
-struct Results<S: EffectSet> {
+struct Results {
     /// §3.3-extended `IMOD`/`IUSE` per procedure.
-    imod: Vec<S>,
-    iuse: Vec<S>,
+    imod: Vec<BitSet>,
+    iuse: Vec<BitSet>,
     /// Figure 1 `RMOD`/`RUSE` per procedure (only own-formal bits).
-    rmod: Vec<S>,
-    ruse: Vec<S>,
+    rmod: Vec<BitSet>,
+    ruse: Vec<BitSet>,
     /// Equation (5) `IMOD⁺`/`IUSE⁺`.
-    plus_mod: Vec<S>,
-    plus_use: Vec<S>,
+    plus_mod: Vec<BitSet>,
+    plus_use: Vec<BitSet>,
     /// Equation (4) `GMOD`/`GUSE`.
-    gmod: Vec<S>,
-    guse: Vec<S>,
+    gmod: Vec<BitSet>,
+    guse: Vec<BitSet>,
     /// Per-site projections and final alias-factored sets.
-    dmod: Vec<S>,
-    duse: Vec<S>,
-    mods: Vec<S>,
-    uses: Vec<S>,
+    dmod: Vec<BitSet>,
+    duse: Vec<BitSet>,
+    mods: Vec<BitSet>,
+    uses: Vec<BitSet>,
 }
 
 /// Cached intermediates that outlive one apply. Everything here is an
 /// *optimisation*: the engine is correct with any subset missing (it
 /// recomputes), and the whole cache is dropped on a failed apply.
-struct Cache<S: EffectSet> {
+struct Cache {
     /// Flat (un-extended) per-procedure `LMOD`/`LUSE` unions.
-    flat_mod: Vec<S>,
-    flat_use: Vec<S>,
+    flat_mod: Vec<BitSet>,
+    flat_use: Vec<BitSet>,
     /// `LOCAL(p)` per procedure.
-    local_sets: Vec<S>,
+    local_sets: Vec<BitSet>,
     /// Figure 1 structures, maintained across set-local and structural
     /// patch edits.
     beta: BetaCache,
     /// The `GMOD` problem family, likewise maintained.
-    call: CallCache<S>,
+    call: CallCache,
     /// Banning alias pairs; body-independent, reusable across `set-local`.
-    aliases: AliasPairsIn<S>,
+    aliases: AliasPairs,
 }
 
 /// The binding multi-graph, its dynamically maintained condensation, and
@@ -156,22 +156,22 @@ struct BetaCache {
 /// The call multi-graph's `GMOD` problem family: one maintained
 /// condensation per nesting problem (shared by both sides) plus the
 /// per-procedure fixpoint rows of the last sweep.
-struct CallCache<S: EffectSet> {
+struct CallCache {
     /// The nesting depth the family was built for; a depth change
     /// invalidates the whole family.
     dp: usize,
     /// Sorted `(from, to, callee_level)` edge multiset of the *full*
     /// call graph — the diff base for patches.
     edges: Vec<(usize, usize, usize)>,
-    problems: Vec<ProblemCache<S>>,
+    problems: Vec<ProblemCache>,
 }
 
 /// One `GMOD` problem: its maintained condensation and the cached
 /// per-node (per-procedure) fixpoint rows for both sides.
-struct ProblemCache<S: EffectSet> {
+struct ProblemCache {
     dc: DynCondensation,
-    rows_mod: Vec<S>,
-    rows_use: Vec<S>,
+    rows_mod: Vec<BitSet>,
+    rows_use: Vec<BitSet>,
 }
 
 /// Which apply path this edit takes; see the module docs.
@@ -261,22 +261,13 @@ impl IncrOutcome {
 /// carrying over its thread count and trace handle.
 pub trait IncrementalExt {
     /// Builds the engine (running the initial full analysis) with this
-    /// analyzer's threads and trace, over the default dense sets.
+    /// analyzer's threads and trace.
     fn incremental(&self, program: Program) -> IncrementalEngine;
-
-    /// [`IncrementalExt::incremental`] over a caller-chosen set
-    /// representation `S` — `modref serve` uses this to build hybrid
-    /// sessions when the server-wide `--set-repr` knob selects them.
-    fn incremental_in<S: EffectSet>(&self, program: Program) -> IncrementalEngineIn<S>;
 }
 
 impl IncrementalExt for Analyzer {
     fn incremental(&self, program: Program) -> IncrementalEngine {
-        self.incremental_in::<BitSet>(program)
-    }
-
-    fn incremental_in<S: EffectSet>(&self, program: Program) -> IncrementalEngineIn<S> {
-        let mut engine = IncrementalEngineIn::with_config(
+        let mut engine = IncrementalEngine::with_config(
             program,
             self.configured_threads(),
             self.trace_handle().clone(),
@@ -323,20 +314,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// # Ok(())
 /// # }
 /// ```
-pub struct IncrementalEngineIn<S: EffectSet> {
+pub struct IncrementalEngine {
     program: Program,
     threads: Option<usize>,
     trace: Trace,
-    cache: Option<Cache<S>>,
-    res: Results<S>,
+    cache: Option<Cache>,
+    res: Results,
     stats: IncrStats,
 }
 
-/// [`IncrementalEngineIn`] over the paper's dense bit vectors — the
-/// default representation of the public API.
-pub type IncrementalEngine = IncrementalEngineIn<BitSet>;
-
-impl<S: EffectSet> IncrementalEngineIn<S> {
+impl IncrementalEngine {
     /// Builds the engine and runs the initial full analysis.
     pub fn new(program: Program) -> Self {
         let mut engine = Self::with_config(program, None, Trace::disabled());
@@ -345,7 +332,7 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
     }
 
     fn with_config(program: Program, threads: Option<usize>, trace: Trace) -> Self {
-        IncrementalEngineIn {
+        IncrementalEngine {
             program,
             threads,
             trace,
@@ -526,19 +513,15 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
     fn degrade(&mut self) {
         self.cache = None;
         let program = &self.program;
-        let visible: Vec<S> = program
-            .visible_sets()
-            .into_iter()
-            .map(S::from_dense_owned)
-            .collect();
+        let visible: Vec<BitSet> = program.visible_sets();
         let nv = program.num_vars();
-        let mut rmod = vec![S::empty(nv); program.num_procs()];
+        let mut rmod = vec![BitSet::new(nv); program.num_procs()];
         for p in program.procs() {
             for &f in program.proc_(p).formals() {
                 rmod[p.index()].insert(f.index());
             }
         }
-        let per_site: Vec<S> = program
+        let per_site: Vec<BitSet> = program
             .sites()
             .map(|s| visible[program.site(s).caller().index()].clone())
             .collect();
@@ -609,7 +592,7 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
 
         // Prior observable results, translated into the edited program's
         // id spaces, for change detection and (set-local only) site reuse.
-        let old: Option<OldResults<S>> = match (mode, delta) {
+        let old: Option<OldResults> = match (mode, delta) {
             (Mode::SetLocal, Some(_)) => Some(OldResults::from_results(prior_res)),
             (Mode::Patch, Some(d)) => Some(OldResults::permuted(prior_res, d, nv, ns)),
             (Mode::Full, Some(d)) if had_cache => Some(OldResults::remapped(prior_res, d, program)),
@@ -639,14 +622,7 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
         // being reallocated (and compared) on every apply.
         let (local_sets, locals_reused) = match old_local_sets {
             Some(old_ls) if old_ls.len() == np => (old_ls, true),
-            _ => (
-                program
-                    .local_sets()
-                    .into_iter()
-                    .map(S::from_dense_owned)
-                    .collect::<Vec<S>>(),
-                false,
-            ),
+            _ => (program.local_sets(), false),
         };
         let locals_dirty: Vec<bool> = if locals_reused {
             // The cache was only kept for modes that cannot touch
@@ -675,17 +651,17 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
         }
         let (mut flat_mod, mut flat_use) = match old_flat {
             Some((mut m, mut u)) => {
-                m.resize(np, S::empty(nv));
-                u.resize(np, S::empty(nv));
+                m.resize(np, BitSet::new(nv));
+                u.resize(np, BitSet::new(nv));
                 (m, u)
             }
-            None => (vec![S::empty(nv); np], vec![S::empty(nv); np]),
+            None => (vec![BitSet::new(nv); np], vec![BitSet::new(nv); np]),
         };
         for p in program.procs() {
             if !touched[p.index()] {
                 continue;
             }
-            let (m, u) = flat_effects_of(program, p);
+            let (m, u) = modref_ir::flat_effects_of(program, p);
             flat_mod[p.index()] = m;
             flat_use[p.index()] = u;
             stats.procs_flat_recomputed += 1;
@@ -789,8 +765,8 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
                 for pc in &mut cc.problems {
                     while pc.dc.graph().num_nodes() < np {
                         pc.dc.add_node();
-                        pc.rows_mod.push(S::empty(nv));
-                        pc.rows_use.push(S::empty(nv));
+                        pc.rows_mod.push(BitSet::new(nv));
+                        pc.rows_use.push(BitSet::new(nv));
                     }
                 }
                 let (dels, ins) = diff_sorted(&cc.edges, &triples);
@@ -895,7 +871,7 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
             // Alias pairs depend only on call sites and visibility, both
             // unchanged under a set-local edit.
             (Mode::SetLocal, Some(a)) => (a, false),
-            _ => (AliasPairsIn::compute_with(&ctx, program)?, true),
+            _ => (AliasPairs::compute_with(&ctx, program)?, true),
         };
         let mut old_sites = old.map(|o| (o.dmod, o.duse, o.mods, o.uses));
         let no_old = old_sites.is_none();
@@ -997,82 +973,82 @@ impl<S: EffectSet> IncrementalEngineIn<S> {
     // ---- Accessors (mirroring `Summary`) ----
 
     /// `IMOD(p)` with the §3.3 nesting extension.
-    pub fn imod(&self, p: ProcId) -> &S {
+    pub fn imod(&self, p: ProcId) -> &BitSet {
         &self.res.imod[p.index()]
     }
 
     /// `IUSE(p)` with the nesting extension.
-    pub fn iuse(&self, p: ProcId) -> &S {
+    pub fn iuse(&self, p: ProcId) -> &BitSet {
         &self.res.iuse[p.index()]
     }
 
     /// `RMOD(p)`: formals of `p` an invocation may modify.
-    pub fn rmod(&self, p: ProcId) -> &S {
+    pub fn rmod(&self, p: ProcId) -> &BitSet {
         &self.res.rmod[p.index()]
     }
 
     /// `RUSE(p)`.
-    pub fn ruse(&self, p: ProcId) -> &S {
+    pub fn ruse(&self, p: ProcId) -> &BitSet {
         &self.res.ruse[p.index()]
     }
 
     /// `IMOD⁺(p)` (equation 5).
-    pub fn imod_plus(&self, p: ProcId) -> &S {
+    pub fn imod_plus(&self, p: ProcId) -> &BitSet {
         &self.res.plus_mod[p.index()]
     }
 
     /// `IUSE⁺(p)`.
-    pub fn iuse_plus(&self, p: ProcId) -> &S {
+    pub fn iuse_plus(&self, p: ProcId) -> &BitSet {
         &self.res.plus_use[p.index()]
     }
 
     /// `GMOD(p)`.
-    pub fn gmod(&self, p: ProcId) -> &S {
+    pub fn gmod(&self, p: ProcId) -> &BitSet {
         &self.res.gmod[p.index()]
     }
 
     /// `GUSE(p)`.
-    pub fn guse(&self, p: ProcId) -> &S {
+    pub fn guse(&self, p: ProcId) -> &BitSet {
         &self.res.guse[p.index()]
     }
 
     /// All `GMOD` sets, indexed by procedure.
-    pub fn gmod_all(&self) -> &[S] {
+    pub fn gmod_all(&self) -> &[BitSet] {
         &self.res.gmod
     }
 
     /// All `GUSE` sets, indexed by procedure.
-    pub fn guse_all(&self) -> &[S] {
+    pub fn guse_all(&self) -> &[BitSet] {
         &self.res.guse
     }
 
     /// `DMOD` restricted to call site `s` (before aliases).
-    pub fn dmod_site(&self, s: CallSiteId) -> &S {
+    pub fn dmod_site(&self, s: CallSiteId) -> &BitSet {
         &self.res.dmod[s.index()]
     }
 
     /// `DUSE` restricted to call site `s`.
-    pub fn duse_site(&self, s: CallSiteId) -> &S {
+    pub fn duse_site(&self, s: CallSiteId) -> &BitSet {
         &self.res.duse[s.index()]
     }
 
     /// `MOD(s)`: the final answer for call site `s`.
-    pub fn mod_site(&self, s: CallSiteId) -> &S {
+    pub fn mod_site(&self, s: CallSiteId) -> &BitSet {
         &self.res.mods[s.index()]
     }
 
     /// `USE(s)`.
-    pub fn use_site(&self, s: CallSiteId) -> &S {
+    pub fn use_site(&self, s: CallSiteId) -> &BitSet {
         &self.res.uses[s.index()]
     }
 
     /// All per-site `MOD` sets.
-    pub fn mod_all(&self) -> &[S] {
+    pub fn mod_all(&self) -> &[BitSet] {
         &self.res.mods
     }
 
     /// All per-site `USE` sets.
-    pub fn use_all(&self) -> &[S] {
+    pub fn use_all(&self) -> &[BitSet] {
         &self.res.uses
     }
 }
@@ -1093,20 +1069,20 @@ fn identity_maps(d: &EditDelta) -> bool {
 /// Prior observable results, translated into the edited program's id
 /// spaces — the diff base for change detection and (set-local) site
 /// reuse.
-struct OldResults<S: EffectSet> {
-    plus_mod: Vec<S>,
-    plus_use: Vec<S>,
-    gmod: Vec<S>,
-    guse: Vec<S>,
-    dmod: Vec<S>,
-    duse: Vec<S>,
-    mods: Vec<S>,
-    uses: Vec<S>,
+struct OldResults {
+    plus_mod: Vec<BitSet>,
+    plus_use: Vec<BitSet>,
+    gmod: Vec<BitSet>,
+    guse: Vec<BitSet>,
+    dmod: Vec<BitSet>,
+    duse: Vec<BitSet>,
+    mods: Vec<BitSet>,
+    uses: Vec<BitSet>,
 }
 
-impl<S: EffectSet> OldResults<S> {
+impl OldResults {
     /// Set-local: every id space is untouched; the results move verbatim.
-    fn from_results(res: Results<S>) -> OldResults<S> {
+    fn from_results(res: Results) -> OldResults {
         OldResults {
             plus_mod: res.plus_mod,
             plus_use: res.plus_use,
@@ -1121,9 +1097,9 @@ impl<S: EffectSet> OldResults<S> {
 
     /// Structural patch: procedure and variable ids are identities, but
     /// call-site ids may have shifted — permute the per-site vectors.
-    fn permuted(res: Results<S>, d: &EditDelta, nv: usize, ns: usize) -> OldResults<S> {
-        let permute = |old: Vec<S>| -> Vec<S> {
-            let mut out = vec![S::empty(nv); ns];
+    fn permuted(res: Results, d: &EditDelta, nv: usize, ns: usize) -> OldResults {
+        let permute = |old: Vec<BitSet>| -> Vec<BitSet> {
+            let mut out = vec![BitSet::new(nv); ns];
             for (i, set) in old.into_iter().enumerate() {
                 if let Some(s) = d.site_map.get(i).copied().flatten() {
                     out[s.index()] = set;
@@ -1145,18 +1121,18 @@ impl<S: EffectSet> OldResults<S> {
 
     /// Full rebuild after a universe change: remap every id space so the
     /// reported [`IncrDelta`] still names exactly what moved.
-    fn remapped(res: Results<S>, d: &EditDelta, program: &Program) -> OldResults<S> {
+    fn remapped(res: Results, d: &EditDelta, program: &Program) -> OldResults {
         let np = program.num_procs();
         let nv = program.num_vars();
         let ns = program.num_sites();
-        let remap_set = |old: &S| -> S {
-            S::from_elems(
+        let remap_set = |old: &BitSet| -> BitSet {
+            BitSet::from_iter_with_domain(
                 nv,
                 old.iter().filter_map(|i| d.var_map[i].map(VarId::index)),
             )
         };
-        let remap_proc_vec = |old: &[S]| -> Vec<S> {
-            let mut out = vec![S::empty(nv); np];
+        let remap_proc_vec = |old: &[BitSet]| -> Vec<BitSet> {
+            let mut out = vec![BitSet::new(nv); np];
             for (i, set) in old.iter().enumerate() {
                 if let Some(p) = d.proc_map.get(i).copied().flatten() {
                     out[p.index()] = remap_set(set);
@@ -1164,8 +1140,8 @@ impl<S: EffectSet> OldResults<S> {
             }
             out
         };
-        let remap_site_vec = |old: &[S]| -> Vec<S> {
-            let mut out = vec![S::empty(nv); ns];
+        let remap_site_vec = |old: &[BitSet]| -> Vec<BitSet> {
+            let mut out = vec![BitSet::new(nv); ns];
             for (i, set) in old.iter().enumerate() {
                 if let Some(s) = d.site_map.get(i).copied().flatten() {
                     out[s.index()] = remap_set(set);
@@ -1257,13 +1233,13 @@ fn fresh_beta_cache(beta: BindingGraph, edges: Vec<(usize, usize)>) -> BetaCache
 /// restricts the call multi-graph to edges whose callee sits at nesting
 /// level `≥ k + 1`; for two-level programs the single problem runs on the
 /// full graph, matching the batch solver exactly.
-fn fresh_call_cache<S: EffectSet>(
+fn fresh_call_cache(
     dp: usize,
     nproblems: usize,
     np: usize,
     nv: usize,
     triples: Vec<(usize, usize, usize)>,
-) -> CallCache<S> {
+) -> CallCache {
     let mut problems = Vec::with_capacity(nproblems);
     for k in 0..nproblems {
         let min_lvl = if dp <= 1 { 0 } else { k + 1 };
@@ -1275,8 +1251,8 @@ fn fresh_call_cache<S: EffectSet>(
         }
         problems.push(ProblemCache {
             dc: DynCondensation::build(g),
-            rows_mod: vec![S::empty(nv); np],
-            rows_use: vec![S::empty(nv); np],
+            rows_mod: vec![BitSet::new(nv); np],
+            rows_use: vec![BitSet::new(nv); np],
         });
     }
     CallCache {
@@ -1286,21 +1262,14 @@ fn fresh_call_cache<S: EffectSet>(
     }
 }
 
-/// Flat (call-free) `LMOD`/`LUSE` of one procedure, in the working
-/// representation.
-fn flat_effects_of<S: EffectSet>(program: &Program, p: ProcId) -> (S, S) {
-    let (m, u) = modref_ir::flat_effects_of(program, p);
-    (S::from_dense_owned(m), S::from_dense_owned(u))
-}
-
 /// The §3.3 nesting extension, children before parents — a verbatim
 /// replica of the batch sweep so extended sets stay bit-identical.
-fn extend_flat<S: EffectSet>(
+fn extend_flat(
     program: &Program,
-    flat_mod: &[S],
-    flat_use: &[S],
-    local_sets: &[S],
-) -> (Vec<S>, Vec<S>) {
+    flat_mod: &[BitSet],
+    flat_use: &[BitSet],
+    local_sets: &[BitSet],
+) -> (Vec<BitSet>, Vec<BitSet>) {
     let mut order: Vec<ProcId> = program.procs().collect();
     order.sort_by_key(|&p| std::cmp::Reverse(program.proc_(p).level()));
     let mut imod = flat_mod.to_vec();
@@ -1326,18 +1295,18 @@ fn extend_flat<S: EffectSet>(
 /// representer booleans and is updated in place; the broadcast (step (4)
 /// of Figure 1, one boolean per formal) always runs in full.
 #[allow(clippy::too_many_arguments)]
-fn rmod_sweep_side<S: EffectSet>(
+fn rmod_sweep_side(
     program: &Program,
     beta: &BindingGraph,
     dc: &DynCondensation,
-    initial: &[S],
+    initial: &[BitSet],
     old_seeds: Option<&[bool]>,
     patch_nodes: &[usize],
     rep: &mut Vec<bool>,
     reused: &mut usize,
     recomputed: &mut usize,
     guard: &Guard,
-) -> Result<(Vec<bool>, Vec<S>), Interrupt> {
+) -> Result<(Vec<bool>, Vec<BitSet>), Interrupt> {
     let n = beta.num_nodes();
     let mut seeds = Vec::with_capacity(n);
     for node in 0..n {
@@ -1408,7 +1377,7 @@ fn rmod_sweep_side<S: EffectSet>(
 
     // Broadcast — the exact step (4) of Figure 1, unbound formals taking
     // their IMOD bit directly.
-    let mut rmod = vec![S::empty(program.num_vars()); program.num_procs()];
+    let mut rmod = vec![BitSet::new(program.num_vars()); program.num_procs()];
     for p in program.procs() {
         for &f in program.proc_(p).formals() {
             let in_rmod = match beta.node_of_formal(f) {
@@ -1426,7 +1395,7 @@ fn rmod_sweep_side<S: EffectSet>(
 /// `new[p] != old[p]` per procedure (new procedures always dirty; no old
 /// results means everything is; an old vector shorter than `new` — ids
 /// appended by the edit — dirties the tail).
-fn diff_procs<S: EffectSet>(new: &[S], old: Option<&[S]>, is_new: &[bool]) -> Vec<bool> {
+fn diff_procs(new: &[BitSet], old: Option<&[BitSet]>, is_new: &[bool]) -> Vec<bool> {
     match old {
         Some(old) => (0..new.len())
             .map(|p| is_new[p] || old.get(p).is_none_or(|o| new[p] != *o))
@@ -1439,13 +1408,13 @@ fn diff_procs<S: EffectSet>(new: &[S], old: Option<&[S]>, is_new: &[bool]) -> Ve
 /// the batch kernel, writes the rows back per node, and reports each
 /// component's value-changed bit to `on_done`.
 #[allow(clippy::too_many_arguments)]
-fn run_batch<S: EffectSet>(
+fn run_batch(
     ctx: &SolveCtx<'_>,
     batch: &[SccId],
     dc: &DynCondensation,
-    rows: &mut [S],
-    seeds: &[S],
-    locals: &[S],
+    rows: &mut [BitSet],
+    seeds: &[BitSet],
+    locals: &[BitSet],
     nv: usize,
     mut on_done: impl FnMut(SccId, bool),
 ) -> Result<(), Interrupt> {
@@ -1455,7 +1424,7 @@ fn run_batch<S: EffectSet>(
     let comp_map = sccs.component_map();
     let comp_pos = dc.comp_pos();
     let results = {
-        let g_final: &[S] = rows;
+        let g_final: &[BitSet] = rows;
         pool.par_map_while(
             batch.len(),
             || !guard.should_stop(),
@@ -1497,11 +1466,11 @@ fn run_batch<S: EffectSet>(
 /// touched — then grows only through components whose recomputed
 /// fixpoint actually changed.
 #[allow(clippy::too_many_arguments)]
-fn sweep_gmod_side<S: EffectSet>(
+fn sweep_gmod_side(
     dc: &DynCondensation,
-    rows: &mut [S],
-    seeds: &[S],
-    locals: &[S],
+    rows: &mut [BitSet],
+    seeds: &[BitSet],
+    locals: &[BitSet],
     dirty: Option<(&[bool], &[bool], &[usize])>,
     nv: usize,
     ctx: &SolveCtx<'_>,

@@ -39,10 +39,10 @@ pub mod render;
 pub mod script;
 
 pub use engine::{
-    IncrDegradeReason, IncrDelta, IncrOutcome, IncrStats, IncrementalEngine, IncrementalEngineIn,
-    IncrementalExt, ReplayError,
+    IncrDegradeReason, IncrDelta, IncrOutcome, IncrStats, IncrementalEngine, IncrementalExt,
+    ReplayError,
 };
 pub use modref_ir::{Edit, EditDelta, EditError};
-pub use query::{AnyQueryEngine, QueryEngine, QueryEngineIn, QueryOutcome};
+pub use query::{QueryEngine, QueryOutcome};
 pub use render::SiteSets;
 pub use script::{EditGen, Script, ScriptError};

@@ -32,15 +32,15 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use modref_core::demand::{
     conservative_proc_answer, conservative_site_answer, query_proc_with, query_site_with,
-    DemandMemoIn, ProcAnswer, SiteAnswer,
+    DemandMemo, ProcAnswer, SiteAnswer,
 };
 use modref_core::{Analyzer, Guard, SolveCtx};
-use modref_bitset::{BitSet, EffectSet, HybridSet, OpCounter, SetRepr};
+use modref_bitset::OpCounter;
 use modref_core::Trace;
 use modref_ir::{CallSiteId, Edit, EditError, ProcId, Program};
 use modref_par::ThreadPool;
 
-use crate::engine::{IncrDelta, IncrOutcome, IncrementalEngineIn, IncrementalExt, ReplayError};
+use crate::engine::{IncrDelta, IncrOutcome, IncrementalEngine, IncrementalExt, ReplayError};
 use crate::render::SiteSets;
 use crate::script::Script;
 
@@ -58,28 +58,24 @@ pub struct QueryOutcome<T> {
     pub ops: OpCounter,
 }
 
-enum State<S: EffectSet> {
+enum State {
     Lazy {
         program: Program,
-        memo: DemandMemoIn<S>,
+        memo: DemandMemo,
         threads: Option<usize>,
         trace: Trace,
     },
-    Full(IncrementalEngineIn<S>),
+    Full(IncrementalEngine),
     /// Transient placeholder while promoting; never observable.
     Poisoned,
 }
 
 /// See the module docs. Constructed per session (serve) or per run (CLI).
-pub struct QueryEngineIn<S: EffectSet> {
-    state: State<S>,
+pub struct QueryEngine {
+    state: State,
 }
 
-/// [`QueryEngineIn`] over the paper's dense bit vectors — the default
-/// representation of the public API.
-pub type QueryEngine = QueryEngineIn<BitSet>;
-
-impl<S: EffectSet> QueryEngineIn<S> {
+impl QueryEngine {
     /// A lazy engine: no up-front analysis, demand-driven queries.
     pub fn new_lazy(program: Program) -> Self {
         Self::new_lazy_with(program, None, Trace::disabled())
@@ -88,8 +84,8 @@ impl<S: EffectSet> QueryEngineIn<S> {
     /// [`QueryEngine::new_lazy`] with the thread count and trace handle a
     /// promotion to Full will use.
     pub fn new_lazy_with(program: Program, threads: Option<usize>, trace: Trace) -> Self {
-        let memo = DemandMemoIn::new(&program);
-        QueryEngineIn {
+        let memo = DemandMemo::new(&program);
+        QueryEngine {
             state: State::Lazy {
                 program,
                 memo,
@@ -100,8 +96,8 @@ impl<S: EffectSet> QueryEngineIn<S> {
     }
 
     /// A full engine wrapping an already-built incremental cache.
-    pub fn new_full(engine: IncrementalEngineIn<S>) -> Self {
-        QueryEngineIn {
+    pub fn new_full(engine: IncrementalEngine) -> Self {
+        QueryEngine {
             state: State::Full(engine),
         }
     }
@@ -133,7 +129,7 @@ impl<S: EffectSet> QueryEngineIn<S> {
 
     /// The wrapped incremental engine, if this session has been promoted
     /// (or was opened Full).
-    pub fn engine(&self) -> Option<&IncrementalEngineIn<S>> {
+    pub fn engine(&self) -> Option<&IncrementalEngine> {
         match &self.state {
             State::Full(engine) => Some(engine),
             _ => None,
@@ -161,7 +157,7 @@ impl<S: EffectSet> QueryEngineIn<S> {
             State::Lazy { program, memo, .. } => {
                 let (next, _delta) = program.apply_edit(edit)?;
                 *program = next;
-                *memo = DemandMemoIn::new(program);
+                *memo = DemandMemo::new(program);
                 Ok(IncrOutcome::Clean(IncrDelta::default()))
             }
             State::Full(engine) => engine.apply_guarded(edit, guard),
@@ -211,10 +207,10 @@ impl<S: EffectSet> QueryEngineIn<S> {
         match &mut self.state {
             State::Full(engine) => QueryOutcome {
                 answer: SiteAnswer {
-                    mods: engine.mod_site(s).to_dense(),
-                    uses: engine.use_site(s).to_dense(),
-                    dmod: engine.dmod_site(s).to_dense(),
-                    duse: engine.duse_site(s).to_dense(),
+                    mods: engine.mod_site(s).clone(),
+                    uses: engine.use_site(s).clone(),
+                    dmod: engine.dmod_site(s).clone(),
+                    duse: engine.duse_site(s).clone(),
                 },
                 degraded: engine
                     .stats()
@@ -249,7 +245,7 @@ impl<S: EffectSet> QueryEngineIn<S> {
                         // memo is dropped (a panicking solver may have
                         // been interrupted anywhere) and the answer is
                         // the sound widening.
-                        *memo = DemandMemoIn::new(program);
+                        *memo = DemandMemo::new(program);
                         QueryOutcome {
                             answer: conservative_site_answer(program, s),
                             degraded: Some(format!(
@@ -271,8 +267,8 @@ impl<S: EffectSet> QueryEngineIn<S> {
         match &mut self.state {
             State::Full(engine) => QueryOutcome {
                 answer: ProcAnswer {
-                    gmod: engine.gmod(p).to_dense(),
-                    guse: engine.guse(p).to_dense(),
+                    gmod: engine.gmod(p).clone(),
+                    guse: engine.guse(p).clone(),
                 },
                 degraded: engine
                     .stats()
@@ -302,7 +298,7 @@ impl<S: EffectSet> QueryEngineIn<S> {
                         ops: OpCounter::new(),
                     },
                     Err(payload) => {
-                        *memo = DemandMemoIn::new(program);
+                        *memo = DemandMemo::new(program);
                         QueryOutcome {
                             answer: conservative_proc_answer(program, p),
                             degraded: Some(format!(
@@ -352,154 +348,7 @@ impl<S: EffectSet> QueryEngineIn<S> {
         if let Some(t) = threads {
             analyzer.threads(t);
         }
-        self.state = State::Full(analyzer.incremental_in::<S>(program));
-    }
-}
-
-/// A [`QueryEngineIn`] over whichever set representation a [`SetRepr`]
-/// knob picked at construction time — the dispatch point `modref serve`
-/// sessions and the CLI's `--query` path use so one `--set-repr` flag
-/// covers the demand memo, the incremental caches, and every per-node
-/// row behind them. Answers are always dense ([`SiteAnswer`] /
-/// [`ProcAnswer`]), so consumers are representation-blind.
-pub enum AnyQueryEngine {
-    /// The paper's dense bit vectors (the default).
-    Dense(QueryEngineIn<BitSet>),
-    /// The hybrid small/spilled representation.
-    Hybrid(QueryEngineIn<HybridSet>),
-}
-
-impl AnyQueryEngine {
-    /// A lazy engine over the representation `repr` selects for this
-    /// program's universe (no size hint: a demand session cannot know
-    /// its answer sizes up front).
-    pub fn new_lazy_with(
-        program: Program,
-        threads: Option<usize>,
-        trace: Trace,
-        repr: SetRepr,
-    ) -> Self {
-        if repr.use_hybrid(program.num_vars(), None) {
-            AnyQueryEngine::Hybrid(QueryEngineIn::new_lazy_with(program, threads, trace))
-        } else {
-            AnyQueryEngine::Dense(QueryEngineIn::new_lazy_with(program, threads, trace))
-        }
-    }
-
-    /// A full engine: runs the exhaustive initial analysis with
-    /// `analyzer`'s threads and trace, over the representation `repr`
-    /// selects.
-    pub fn new_full_with(analyzer: &Analyzer, program: Program, repr: SetRepr) -> Self {
-        if repr.use_hybrid(program.num_vars(), None) {
-            AnyQueryEngine::Hybrid(QueryEngineIn::new_full(
-                analyzer.incremental_in::<HybridSet>(program),
-            ))
-        } else {
-            AnyQueryEngine::Dense(QueryEngineIn::new_full(
-                analyzer.incremental_in::<BitSet>(program),
-            ))
-        }
-    }
-
-    /// Wraps an already-built dense engine (journal recovery rebuilds
-    /// dense so its bit-identity check runs against the dense goldens).
-    pub fn from_dense_full(engine: IncrementalEngineIn<BitSet>) -> Self {
-        AnyQueryEngine::Dense(QueryEngineIn::new_full(engine))
-    }
-
-    /// `"dense"` or `"hybrid"` — which representation this engine runs.
-    pub fn repr_name(&self) -> &'static str {
-        match self {
-            AnyQueryEngine::Dense(_) => BitSet::REPR_NAME,
-            AnyQueryEngine::Hybrid(_) => HybridSet::REPR_NAME,
-        }
-    }
-
-    /// See [`QueryEngineIn::program`].
-    pub fn program(&self) -> &Program {
-        match self {
-            AnyQueryEngine::Dense(e) => e.program(),
-            AnyQueryEngine::Hybrid(e) => e.program(),
-        }
-    }
-
-    /// See [`QueryEngineIn::is_lazy`].
-    pub fn is_lazy(&self) -> bool {
-        match self {
-            AnyQueryEngine::Dense(e) => e.is_lazy(),
-            AnyQueryEngine::Hybrid(e) => e.is_lazy(),
-        }
-    }
-
-    /// See [`QueryEngineIn::holds_degraded`].
-    pub fn holds_degraded(&self) -> bool {
-        match self {
-            AnyQueryEngine::Dense(e) => e.holds_degraded(),
-            AnyQueryEngine::Hybrid(e) => e.holds_degraded(),
-        }
-    }
-
-    /// See [`QueryEngineIn::apply_guarded`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`EditError`] if the edit is rejected.
-    pub fn apply_guarded(
-        &mut self,
-        edit: &Edit,
-        guard: &Guard,
-    ) -> Result<IncrOutcome, EditError> {
-        match self {
-            AnyQueryEngine::Dense(e) => e.apply_guarded(edit, guard),
-            AnyQueryEngine::Hybrid(e) => e.apply_guarded(edit, guard),
-        }
-    }
-
-    /// See [`QueryEngineIn::replay_history`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ReplayError`] naming the first failing entry.
-    pub fn replay_history<'a, I>(&mut self, history: I) -> Result<u64, ReplayError>
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        match self {
-            AnyQueryEngine::Dense(e) => e.replay_history(history),
-            AnyQueryEngine::Hybrid(e) => e.replay_history(history),
-        }
-    }
-
-    /// See [`QueryEngineIn::site_answer`].
-    pub fn site_answer(&mut self, s: CallSiteId, guard: &Guard) -> QueryOutcome<SiteAnswer> {
-        match self {
-            AnyQueryEngine::Dense(e) => e.site_answer(s, guard),
-            AnyQueryEngine::Hybrid(e) => e.site_answer(s, guard),
-        }
-    }
-
-    /// See [`QueryEngineIn::proc_answer`].
-    pub fn proc_answer(&mut self, p: ProcId, guard: &Guard) -> QueryOutcome<ProcAnswer> {
-        match self {
-            AnyQueryEngine::Dense(e) => e.proc_answer(p, guard),
-            AnyQueryEngine::Hybrid(e) => e.proc_answer(p, guard),
-        }
-    }
-
-    /// See [`QueryEngineIn::all_sets`].
-    pub fn all_sets(&mut self) -> SiteSets {
-        match self {
-            AnyQueryEngine::Dense(e) => e.all_sets(),
-            AnyQueryEngine::Hybrid(e) => e.all_sets(),
-        }
-    }
-
-    /// See [`QueryEngineIn::promote`].
-    pub fn promote(&mut self) {
-        match self {
-            AnyQueryEngine::Dense(e) => e.promote(),
-            AnyQueryEngine::Hybrid(e) => e.promote(),
-        }
+        self.state = State::Full(analyzer.incremental(program));
     }
 }
 

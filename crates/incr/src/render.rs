@@ -14,12 +14,10 @@
 
 use std::fmt::Write as _;
 
-use modref_bitset::{BitSet, EffectSet};
+use modref_bitset::BitSet;
 use modref_ir::{CallSiteId, Program, VarId};
 use modref_trace::escape_json;
 
-use crate::engine::IncrementalEngineIn;
-#[cfg(test)]
 use crate::engine::IncrementalEngine;
 
 /// The three per-site set families every analyze-style report prints,
@@ -50,20 +48,20 @@ impl SiteSets {
     }
 
     /// Collects the sets from a live incremental engine.
-    pub fn from_engine<S: EffectSet>(engine: &IncrementalEngineIn<S>) -> Self {
+    pub fn from_engine(engine: &IncrementalEngine) -> Self {
         let program = engine.program();
         SiteSets {
             mods: program
                 .sites()
-                .map(|s| engine.mod_site(s).to_dense())
+                .map(|s| engine.mod_site(s).clone())
                 .collect(),
             uses: program
                 .sites()
-                .map(|s| engine.use_site(s).to_dense())
+                .map(|s| engine.use_site(s).clone())
                 .collect(),
             dmods: program
                 .sites()
-                .map(|s| engine.dmod_site(s).to_dense())
+                .map(|s| engine.dmod_site(s).clone())
                 .collect(),
         }
     }

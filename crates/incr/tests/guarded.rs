@@ -10,8 +10,8 @@
 //! 3. the cache is left coherent — the failed apply drops it, and the
 //!    next clean apply is again bit-identical to a from-scratch run.
 
-use modref_core::{Analyzer, Budget, EffectSet, FaultPlan, Guard, HybridSet, Interrupt};
-use modref_incr::{Edit, IncrDegradeReason, IncrOutcome, IncrementalEngine, IncrementalEngineIn};
+use modref_core::{Analyzer, Budget, FaultPlan, Guard, Interrupt};
+use modref_incr::{Edit, IncrDegradeReason, IncrOutcome, IncrementalEngine};
 use modref_ir::{Actual, Expr, ProcId, Program, VarId};
 use modref_progen::{generate, GenConfig};
 
@@ -74,63 +74,62 @@ fn structural_edit(program: &Program) -> Edit {
     }
 }
 
-/// `exact ⊆ reported` for everything the engine exposes. The exact
-/// baseline is always the dense scratch pipeline, so the check also pins
-/// hybrid engines to the historical answer.
-fn assert_superset<S: EffectSet>(engine: &IncrementalEngineIn<S>, ctx: &str) {
+/// `exact ⊆ reported` for everything the engine exposes, against the
+/// scratch pipeline.
+fn assert_superset(engine: &IncrementalEngine, ctx: &str) {
     let program = engine.program();
     let exact = Analyzer::new().analyze(program);
     for p in program.procs() {
         assert!(
-            exact.gmod(p).is_subset(&engine.gmod(p).to_dense()),
+            exact.gmod(p).is_subset(engine.gmod(p)),
             "{ctx}: GMOD({p}) lost bits: exact {:?} ⊄ reported {:?}",
             exact.gmod(p),
             engine.gmod(p)
         );
         assert!(
-            exact.guse(p).is_subset(&engine.guse(p).to_dense()),
+            exact.guse(p).is_subset(engine.guse(p)),
             "{ctx}: GUSE({p}) lost bits"
         );
         assert!(
-            exact.rmod(p).is_subset(&engine.rmod(p).to_dense()),
+            exact.rmod(p).is_subset(engine.rmod(p)),
             "{ctx}: RMOD({p}) lost bits"
         );
         assert!(
-            exact.imod_plus(p).is_subset(&engine.imod_plus(p).to_dense()),
+            exact.imod_plus(p).is_subset(engine.imod_plus(p)),
             "{ctx}: IMOD+({p}) lost bits"
         );
     }
     for s in program.sites() {
         assert!(
-            exact.mod_site(s).is_subset(&engine.mod_site(s).to_dense()),
+            exact.mod_site(s).is_subset(engine.mod_site(s)),
             "{ctx}: MOD({s}) lost bits: exact {:?} ⊄ reported {:?}",
             exact.mod_site(s),
             engine.mod_site(s)
         );
         assert!(
-            exact.use_site(s).is_subset(&engine.use_site(s).to_dense()),
+            exact.use_site(s).is_subset(engine.use_site(s)),
             "{ctx}: USE({s}) lost bits"
         );
         assert!(
-            exact.dmod_site(s).is_subset(&engine.dmod_site(s).to_dense()),
+            exact.dmod_site(s).is_subset(engine.dmod_site(s)),
             "{ctx}: DMOD({s}) lost bits"
         );
     }
 }
 
 /// Bit-identity of the engine against scratch (the recovery half of the
-/// coherence contract), via the dense image for hybrid engines.
-fn assert_bit_identical<S: EffectSet>(engine: &IncrementalEngineIn<S>, ctx: &str) {
+/// coherence contract).
+fn assert_bit_identical(engine: &IncrementalEngine, ctx: &str) {
     let program = engine.program();
     let exact = Analyzer::new().analyze(program);
     for p in program.procs() {
-        assert_eq!(&engine.gmod(p).to_dense(), exact.gmod(p), "{ctx}: GMOD({p})");
-        assert_eq!(&engine.guse(p).to_dense(), exact.guse(p), "{ctx}: GUSE({p})");
-        assert_eq!(&engine.rmod(p).to_dense(), exact.rmod(p), "{ctx}: RMOD({p})");
+        assert_eq!(engine.gmod(p), exact.gmod(p), "{ctx}: GMOD({p})");
+        assert_eq!(engine.guse(p), exact.guse(p), "{ctx}: GUSE({p})");
+        assert_eq!(engine.rmod(p), exact.rmod(p), "{ctx}: RMOD({p})");
     }
     for s in program.sites() {
-        assert_eq!(&engine.mod_site(s).to_dense(), exact.mod_site(s), "{ctx}: MOD({s})");
-        assert_eq!(&engine.use_site(s).to_dense(), exact.use_site(s), "{ctx}: USE({s})");
+        assert_eq!(engine.mod_site(s), exact.mod_site(s), "{ctx}: MOD({s})");
+        assert_eq!(engine.use_site(s), exact.use_site(s), "{ctx}: USE({s})");
     }
 }
 
@@ -324,147 +323,4 @@ fn faults_keep_firing_across_consecutive_applies() {
         IncrOutcome::Degraded { reason } => panic!("clean apply degraded: {reason}"),
     }
     assert_bit_identical(&engine, "recovery after repeated faults");
-}
-
-#[test]
-fn hybrid_engine_panic_at_every_incr_site_degrades_soundly_and_recovers() {
-    // The same fault wall with the hybrid representation selected: the
-    // degradation ladder and cache-drop recovery run through generic
-    // `EffectSet` code, and both halves are checked against the *dense*
-    // exact baseline.
-    for (i, &site) in INCR_SITES.iter().enumerate() {
-        let seed = 500 + i as u64;
-        let mut engine = IncrementalEngineIn::<HybridSet>::new(demo_program(seed));
-        let edit = perturbing_edit(engine.program());
-        let guard = Guard::unlimited().with_faults(FaultPlan::new().panic_at(site));
-        let outcome = engine
-            .apply_guarded(&edit, &guard)
-            .expect("the edit itself is valid");
-        let IncrOutcome::Degraded { reason } = outcome else {
-            panic!("hybrid site `{site}`: armed fault must degrade the apply");
-        };
-        assert!(
-            matches!(&reason, IncrDegradeReason::Panic(m) if m.contains(site)),
-            "hybrid site `{site}`: unexpected degrade reason {reason}"
-        );
-        assert_superset(&engine, &format!("hybrid fault at `{site}`"));
-        let next = perturbing_edit(engine.program());
-        match engine
-            .apply_guarded(&next, &Guard::unlimited())
-            .expect("valid edit")
-        {
-            IncrOutcome::Clean(_) => {}
-            IncrOutcome::Degraded { reason } => {
-                panic!("hybrid site `{site}`: clean apply degraded: {reason}")
-            }
-        }
-        assert!(
-            engine.stats().full_rebuild,
-            "hybrid site `{site}`: the post-fault apply must rebuild"
-        );
-        assert_bit_identical(&engine, &format!("hybrid recovery after `{site}`"));
-    }
-}
-
-#[test]
-fn hybrid_engine_patch_path_faults_degrade_soundly_and_recover() {
-    for (i, &site) in PATCH_SITES.iter().enumerate() {
-        let seed = 700 + i as u64;
-        let mut engine = IncrementalEngineIn::<HybridSet>::new(demo_program(seed));
-        let edit = structural_edit(engine.program());
-        let guard = Guard::unlimited().with_faults(FaultPlan::new().panic_at(site));
-        let outcome = engine
-            .apply_guarded(&edit, &guard)
-            .expect("the edit itself is valid");
-        assert!(
-            outcome.is_degraded(),
-            "hybrid site `{site}`: armed fault must degrade the apply"
-        );
-        assert_superset(&engine, &format!("hybrid patch fault at `{site}`"));
-        let next = perturbing_edit(engine.program());
-        match engine
-            .apply_guarded(&next, &Guard::unlimited())
-            .expect("valid edit")
-        {
-            IncrOutcome::Clean(_) => {}
-            IncrOutcome::Degraded { reason } => {
-                panic!("hybrid site `{site}`: clean apply degraded: {reason}")
-            }
-        }
-        assert_bit_identical(&engine, &format!("hybrid patch recovery `{site}`"));
-    }
-}
-
-#[test]
-fn hybrid_lazy_query_faults_degrade_soundly_and_recover() {
-    // The demand path's `query.*` checkpoints, armed while the hybrid
-    // representation backs the memo. Answers are always dense, so the
-    // superset and recovery checks compare directly against scratch.
-    // The program routes one site query through every demand stage:
-    // locals, a binding cycle (RMOD), IMOD⁺, a cyclic GMOD component,
-    // and an alias pair at the queried call.
-    let mut b = modref_ir::ProgramBuilder::new();
-    let g = b.global("g");
-    let p = b.proc_("p", &["x", "y"]);
-    let q = b.proc_("q", &["z"]);
-    b.assign(p, b.formal(p, 0), Expr::constant(1));
-    b.assign(q, b.formal(q, 0), Expr::constant(2));
-    b.call(p, q, &[b.formal(p, 1)]);
-    b.call(q, p, &[b.formal(q, 0), b.formal(q, 0)]);
-    let main = b.main();
-    b.call(main, p, &[g, g]);
-    let program = b.finish().expect("valid");
-
-    let scratch = Analyzer::new().analyze(&program);
-    let site = program.sites().next().expect("has a site");
-    for at in [
-        "query",
-        "query.local",
-        "query.rmod",
-        "query.plus",
-        "query.gmod",
-        "query.alias",
-        "query.final",
-    ] {
-        let armed = Guard::unlimited().with_faults(FaultPlan::new().panic_at(at));
-        let mut lazy = modref_incr::QueryEngineIn::<HybridSet>::new_lazy(program.clone());
-        let out = lazy.site_answer(site, &armed);
-        let reason = out
-            .degraded
-            .unwrap_or_else(|| panic!("hybrid panic@`{at}`: site query must trip the fault"));
-        assert!(reason.contains(at), "hybrid@`{at}`: reason was {reason}");
-        assert!(
-            scratch.mod_site(site).is_subset(&out.answer.mods),
-            "hybrid@`{at}`: degraded MOD not a superset"
-        );
-        assert!(
-            scratch.use_site(site).is_subset(&out.answer.uses),
-            "hybrid@`{at}`: degraded USE not a superset"
-        );
-        let calm = lazy.site_answer(site, &Guard::unlimited());
-        assert!(calm.degraded.is_none(), "hybrid@`{at}`: must recover");
-        assert_eq!(&calm.answer.mods, scratch.mod_site(site), "hybrid@`{at}`: exact MOD");
-        assert_eq!(&calm.answer.uses, scratch.use_site(site), "hybrid@`{at}`: exact USE");
-    }
-}
-
-#[test]
-fn hybrid_engine_zero_budget_degrades_soundly_and_recovers() {
-    let mut engine = IncrementalEngineIn::<HybridSet>::new(demo_program(7));
-    let edit = perturbing_edit(engine.program());
-    let guard = Guard::new(&Budget::unlimited().with_ops(0));
-    let outcome = engine
-        .apply_guarded(&edit, &guard)
-        .expect("the edit itself is valid");
-    assert!(outcome.is_degraded(), "zero budget must degrade the apply");
-    assert_superset(&engine, "hybrid zero-budget");
-    let next = perturbing_edit(engine.program());
-    match engine
-        .apply_guarded(&next, &Guard::unlimited())
-        .expect("valid edit")
-    {
-        IncrOutcome::Clean(_) => {}
-        IncrOutcome::Degraded { reason } => panic!("clean apply degraded: {reason}"),
-    }
-    assert_bit_identical(&engine, "hybrid recovery after zero-budget");
 }

@@ -13,7 +13,7 @@
 //!
 //! The `USE` problem is "analogous" (§1); this module computes both sides.
 
-use modref_bitset::{BitSet, EffectSet};
+use modref_bitset::BitSet;
 
 use crate::ids::ProcId;
 use crate::program::Program;
@@ -46,26 +46,22 @@ use crate::visit::{walk_exprs, walk_stmts};
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-pub struct LocalEffectsIn<S: EffectSet> {
-    imod_flat: Vec<S>,
-    iuse_flat: Vec<S>,
-    imod: Vec<S>,
-    iuse: Vec<S>,
+pub struct LocalEffects {
+    imod_flat: Vec<BitSet>,
+    iuse_flat: Vec<BitSet>,
+    imod: Vec<BitSet>,
+    iuse: Vec<BitSet>,
 }
 
-/// [`LocalEffectsIn`] over the paper's dense bit vectors — the
-/// representation every public API defaults to.
-pub type LocalEffects = LocalEffectsIn<BitSet>;
-
-impl<S: EffectSet> LocalEffectsIn<S> {
+impl LocalEffects {
     /// Computes all local sets for `program` in one pass over every
     /// statement plus a bottom-up sweep of the nesting tree — linear in
     /// program size, as §3.3 requires.
     pub fn compute(program: &Program) -> Self {
         let nv = program.num_vars();
         let np = program.num_procs();
-        let mut imod_flat = vec![S::empty(nv); np];
-        let mut iuse_flat = vec![S::empty(nv); np];
+        let mut imod_flat = vec![BitSet::new(nv); np];
+        let mut iuse_flat = vec![BitSet::new(nv); np];
 
         for p in program.procs() {
             let (m, u) = (&mut imod_flat[p.index()], &mut iuse_flat[p.index()]);
@@ -88,9 +84,9 @@ impl<S: EffectSet> LocalEffectsIn<S> {
         }
         let nv = program.num_vars();
         let np = program.num_procs();
-        let flat: Vec<(S, S)> = pool.par_map(np, |i| {
-            let mut m = S::empty(nv);
-            let mut u = S::empty(nv);
+        let flat: Vec<(BitSet, BitSet)> = pool.par_map(np, |i| {
+            let mut m = BitSet::new(nv);
+            let mut u = BitSet::new(nv);
             walk_stmts(program.proc_(ProcId::new(i)).body(), &mut |s| {
                 accumulate_stmt(program, s, &mut m, &mut u);
             });
@@ -101,7 +97,7 @@ impl<S: EffectSet> LocalEffectsIn<S> {
     }
 
     /// The §3.3 nesting extension on top of already-gathered flat sets.
-    fn from_flat_sets(program: &Program, imod_flat: Vec<S>, iuse_flat: Vec<S>) -> Self {
+    fn from_flat_sets(program: &Program, imod_flat: Vec<BitSet>, iuse_flat: Vec<BitSet>) -> Self {
         // §3.3 extension, children before parents. Builder and front end
         // both create children after their parent, but sort by level to be
         // independent of id order.
@@ -114,14 +110,14 @@ impl<S: EffectSet> LocalEffectsIn<S> {
             // Absorb each child's extended set, minus the child's locals.
             let children = program.proc_(p).children().to_vec();
             for q in children {
-                let local_q = S::from_dense_owned(program.local_set(q));
+                let local_q = program.local_set(q);
                 let (child_m, child_u) = (imod[q.index()].clone(), iuse[q.index()].clone());
                 imod[p.index()].union_with_difference(&child_m, &local_q);
                 iuse[p.index()].union_with_difference(&child_u, &local_q);
             }
         }
 
-        LocalEffectsIn {
+        LocalEffects {
             imod_flat,
             iuse_flat,
             imod,
@@ -135,12 +131,8 @@ impl<S: EffectSet> LocalEffectsIn<S> {
     /// in `p` actually touches is visible in `p`, so these sets
     /// over-approximate any exactly computed ones.
     pub fn conservative(program: &Program) -> Self {
-        let visible: Vec<S> = program
-            .visible_sets()
-            .into_iter()
-            .map(S::from_dense_owned)
-            .collect();
-        LocalEffectsIn {
+        let visible = program.visible_sets();
+        LocalEffects {
             imod_flat: visible.clone(),
             iuse_flat: visible.clone(),
             imod: visible.clone(),
@@ -148,48 +140,34 @@ impl<S: EffectSet> LocalEffectsIn<S> {
         }
     }
 
-    /// Converts every set to the dense default representation. For the
-    /// dense instantiation this is a field-by-field identity move.
-    pub fn into_dense(self) -> LocalEffects {
-        fn conv<S: EffectSet>(sets: Vec<S>) -> Vec<BitSet> {
-            sets.into_iter().map(S::into_dense).collect()
-        }
-        LocalEffectsIn {
-            imod_flat: conv(self.imod_flat),
-            iuse_flat: conv(self.iuse_flat),
-            imod: conv(self.imod),
-            iuse: conv(self.iuse),
-        }
-    }
-
     /// `IMOD(p)` with the §3.3 nesting extension. This is the set the
     /// interprocedural phases consume.
-    pub fn imod(&self, p: ProcId) -> &S {
+    pub fn imod(&self, p: ProcId) -> &BitSet {
         &self.imod[p.index()]
     }
 
     /// `IUSE(p)` with the nesting extension.
-    pub fn iuse(&self, p: ProcId) -> &S {
+    pub fn iuse(&self, p: ProcId) -> &BitSet {
         &self.iuse[p.index()]
     }
 
     /// Plain `IMOD(p) = ⋃ LMOD(s)` without the nesting extension.
-    pub fn imod_flat(&self, p: ProcId) -> &S {
+    pub fn imod_flat(&self, p: ProcId) -> &BitSet {
         &self.imod_flat[p.index()]
     }
 
     /// Plain `IUSE(p)` without the nesting extension.
-    pub fn iuse_flat(&self, p: ProcId) -> &S {
+    pub fn iuse_flat(&self, p: ProcId) -> &BitSet {
         &self.iuse_flat[p.index()]
     }
 
     /// All extended `IMOD` sets, indexed by procedure.
-    pub fn imod_all(&self) -> &[S] {
+    pub fn imod_all(&self) -> &[BitSet] {
         &self.imod
     }
 
     /// All extended `IUSE` sets, indexed by procedure.
-    pub fn iuse_all(&self) -> &[S] {
+    pub fn iuse_all(&self) -> &[BitSet] {
         &self.iuse
     }
 }
@@ -248,7 +226,7 @@ pub fn luse_of_stmt(program: &Program, stmt: &Stmt) -> BitSet {
     u
 }
 
-fn accumulate_stmt<S: EffectSet>(program: &Program, s: &Stmt, m: &mut S, u: &mut S) {
+fn accumulate_stmt(program: &Program, s: &Stmt, m: &mut BitSet, u: &mut BitSet) {
     match s {
         Stmt::Assign { target, value } => {
             m.insert(target.var.index());
@@ -274,7 +252,7 @@ fn accumulate_stmt<S: EffectSet>(program: &Program, s: &Stmt, m: &mut S, u: &mut
     }
 }
 
-fn use_expr<S: EffectSet>(e: &Expr, u: &mut S) {
+fn use_expr(e: &Expr, u: &mut BitSet) {
     walk_exprs(e, &mut |sub| {
         if let Expr::Load(r) = sub {
             u.insert(r.var.index());
@@ -283,7 +261,7 @@ fn use_expr<S: EffectSet>(e: &Expr, u: &mut S) {
     });
 }
 
-fn use_subscripts<S: EffectSet>(r: &Ref, u: &mut S) {
+fn use_subscripts(r: &Ref, u: &mut BitSet) {
     for sub in &r.subs {
         if let crate::stmt::Subscript::Var(v) = sub {
             u.insert(v.index());

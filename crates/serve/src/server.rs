@@ -53,8 +53,7 @@ use modref_guard::{Budget, FaultPlan, Guard, Interrupt};
 use modref_incr::render::{
     render_json, render_json_proc, render_json_site, render_json_site_answer, SiteSets,
 };
-use modref_bitset::SetRepr;
-use modref_incr::{AnyQueryEngine, IncrOutcome, Script};
+use modref_incr::{IncrOutcome, IncrementalExt, QueryEngine, Script};
 use modref_ir::{CallSiteId, ProcId, Program};
 use modref_trace::{escape_json, Trace};
 
@@ -108,11 +107,6 @@ pub struct ServerConfig {
     pub fault_session: Option<String>,
     /// Trace sink; every request records an `incr.serve` span into it.
     pub trace: Trace,
-    /// The set representation every session this server opens runs on
-    /// (`--set-repr`). Sessions inherit it at `open` and resurrection;
-    /// journal recovery rebuilds dense regardless, because its
-    /// bit-identity check runs against the dense from-scratch analysis.
-    pub set_repr: SetRepr,
 }
 
 impl Default for ServerConfig {
@@ -130,7 +124,6 @@ impl Default for ServerConfig {
             faults: None,
             fault_session: None,
             trace: Trace::disabled(),
-            set_repr: SetRepr::Dense,
         }
     }
 }
@@ -140,7 +133,7 @@ impl Default for ServerConfig {
 /// `"lazy":true` hold only a demand memo until a `target=all` query (or
 /// resurrection) promotes them to the exhaustive incremental engine.
 struct Session {
-    engine: AnyQueryEngine,
+    engine: QueryEngine,
     /// Edits applied since `open` (including degraded applies).
     edits_applied: u64,
     /// The program text the session was opened with.
@@ -302,7 +295,7 @@ impl Server {
                     rs.name.clone(),
                     Slot::Live {
                         session: Arc::new(Mutex::new(Session {
-                            engine: AnyQueryEngine::from_dense_full(rs.engine),
+                            engine: QueryEngine::new_full(rs.engine),
                             edits_applied: rs.edits_applied,
                             source: rs.source,
                             history: rs.history,
@@ -919,7 +912,7 @@ fn resurrect(
     if let Some(t) = shared.cfg.threads {
         analyzer.threads(t);
     }
-    let mut engine = AnyQueryEngine::new_full_with(&analyzer, program, shared.cfg.set_repr);
+    let mut engine = QueryEngine::new_full(analyzer.incremental(program));
     if let Err(e) = engine.replay_history(parked.history.iter().map(String::as_str)) {
         return Err((
             resp_error(
@@ -1108,7 +1101,7 @@ fn open_session(
                 Ok((rs, _truncated)) if rs.source == source => {
                     add_journal_bytes(shared, rs.bytes);
                     let slot = Arc::new(Mutex::new(Session {
-                        engine: AnyQueryEngine::from_dense_full(rs.engine),
+                        engine: QueryEngine::new_full(rs.engine),
                         edits_applied: rs.edits_applied,
                         source: rs.source,
                         history: rs.history,
@@ -1151,19 +1144,14 @@ fn open_session(
     // session holds just the program and an empty demand memo, and the
     // first point query solves only the slice it needs.
     let engine = if lazy {
-        AnyQueryEngine::new_lazy_with(
-            program,
-            shared.cfg.threads,
-            shared.cfg.trace.clone(),
-            shared.cfg.set_repr,
-        )
+        QueryEngine::new_lazy_with(program, shared.cfg.threads, shared.cfg.trace.clone())
     } else {
         let mut analyzer = Analyzer::new();
         analyzer.with_trace(shared.cfg.trace.clone());
         if let Some(t) = shared.cfg.threads {
             analyzer.threads(t);
         }
-        AnyQueryEngine::new_full_with(&analyzer, program, shared.cfg.set_repr)
+        QueryEngine::new_full(analyzer.incremental(program))
     };
     let (procs, sites, vars) = {
         let p = engine.program();

@@ -15,9 +15,8 @@
 
 use std::sync::Barrier;
 
-use modref_bitset::BitSet;
 use modref_check::Rng;
-use modref_core::Analyzer;
+use modref_core::{Analyzer, BitSet};
 use modref_frontend::parse_program;
 use modref_incr::render::{render_json, render_json_site, SiteSets};
 use modref_incr::Script;

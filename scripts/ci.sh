@@ -46,6 +46,16 @@ cargo build --release --offline
 echo "== build the benchmark package (release, offline) =="
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+# Smoke-run the alias-dominated nested workload untraced and traced. Each
+# run checks its own references before reporting (the composed pipeline
+# against `Analyzer`, the rendered report against the reference), so a
+# non-zero exit here is a wrong answer, not a slow one.
+echo "== benchmark smoke run (nested_batch, trace off and on) =="
+for trace in 0 1; do
+    cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload nested_batch --seed 1 --seconds 3 --trace "$trace"
+done
+
 # The whole suite runs twice: once pinned to one thread and once with a
 # 4-thread pool, so every default-configured Analyzer in every test
 # exercises both the sequential and the parallel pipeline (results must
@@ -141,22 +151,6 @@ done
 echo "== exhaustive small-world solver enumeration =="
 cargo test -q --offline -p modref-core --test exhaustive
 
-# Set-representation differential wall: the bitset-level op equivalence
-# suite, the full-pipeline dense≡hybrid enumeration inside `exhaustive`
-# (runs above), and the binary end-to-end — every `--set-repr` value
-# must produce a byte-identical report, and the default must be dense.
-echo "== set-representation differential wall =="
-cargo test -q --offline -p modref-bitset --test repr_equiv
-env -u MODREF_FAULT "$MODREF" analyze "$DEMO" > ci_repr_default.out
-for repr in dense hybrid auto; do
-    env -u MODREF_FAULT "$MODREF" analyze "$DEMO" --set-repr "$repr" > "ci_repr_$repr.out"
-    cmp ci_repr_default.out "ci_repr_$repr.out" || {
-        echo "--set-repr $repr changed the report" >&2
-        exit 1
-    }
-done
-rm -f ci_repr_default.out ci_repr_dense.out ci_repr_hybrid.out ci_repr_auto.out
-
 # Incremental performance gate: a fresh incrscale run must show the
 # amortized per-edit cost within 1.10x of a from-scratch re-analysis on
 # every workload family (the engine's whole point is to win everywhere;
@@ -180,17 +174,6 @@ cargo bench --bench demand --offline
 cargo run --release --offline -p modref-bench --bin bench_gate -- \
     --pair query_site_ops:exhaustive_ops \
     target/modref-bench/BENCH_demand.json 0.10
-
-# Set-representation auto gate: across the universe × density sweep, the
-# representation `--set-repr auto` resolves must never cost more than
-# 1.10x dense on any cell (the heuristic may only pick winners; see
-# docs/SETREPR.md and the checked-in BENCH_setrepr.json).
-echo "== set-representation bench gate =="
-rm -f target/modref-bench/BENCH_setrepr.json
-cargo bench --bench setrepr --offline
-cargo run --release --offline -p modref-bench --bin bench_gate -- \
-    --pair auto:dense \
-    target/modref-bench/BENCH_setrepr.json 1.10
 
 # The --edits mode end-to-end: a script applies, the report reflects the
 # edited program, and a bad script fails with the offending line.
